@@ -9,24 +9,24 @@ colors can never suffice.
 """
 
 from ordramsey import (
+    AdditiveWitness,
     Leveled,
+    ProductWitness,
+    StrictWitness,
     SumTail,
-    chi_star_additive,
-    chi_star_product,
-    chi_star_strict,
     realized_colors,
     spread,
 )
 
 # Additive, n = 2 over a tail of 3: palette 1 + 3 + 3.
-coloring = chi_star_additive(2, 3)
+coloring = AdditiveWitness(2, 3)
 instance = SumTail((0, 1), 3)
 print("additive palette:", coloring.palette)
 print("realized:", sorted(realized_colors(coloring, instance)))
 
 # Strict, n = 2 over m = 3 levels: the spread construction hands each
 # level disjoint values, so all 9 words appear and none collide.
-coloring = chi_star_strict(2, 3)
+coloring = StrictWitness(2, 3)
 levels = spread(tuple(range(6)), 3)
 print("\nspread levels:", levels)
 print("strict palette:", coloring.palette)
@@ -40,7 +40,7 @@ print("one shared value:", len(realized_colors(coloring, shared)), "of 9")
 # Product witness over level counts (2, 1): tuples of chains colored by
 # the type of their concatenation.  Two points are too tight to separate
 # every collision pattern; three already realize the whole palette.
-coloring = chi_star_product((2, 1))
+coloring = ProductWitness((2, 1))
 print("\nproduct palette:", coloring.palette)
 for size in (2, 3, 6):
     realized = realized_colors(coloring, tuple(range(size)))

@@ -33,7 +33,7 @@ from .typecalc import (
     strict_to_word,
 )
 from .verify import run_all
-from .witness import chi_star_additive, chi_star_product, chi_star_strict, realized_colors, spread
+from .witness import AdditiveWitness, ProductWitness, StrictWitness, realized_colors, spread
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -88,7 +88,8 @@ def _cmd_exact(args) -> int:
         value = exact_integers(args.n)
         label = "Z"
     else:
-        signs = tuple(args.signs)
+        # argparse strips a lone "--" from option values, so --signs=-- arrives as []
+        signs = tuple("--" if args.signs == [] else args.signs)
         value = exact_signed(args.n, signs)
         label = " + ".join(f"w^({s})" for s in signs)
     if args.json:
@@ -155,13 +156,13 @@ def _cmd_witness(args) -> int:
     sizes = _parse_sizes(args.sizes, "--sizes")
     rows = []
     if args.family == "additive":
-        coloring = chi_star_additive(args.n, args.m)
+        coloring = AdditiveWitness(args.n, args.m)
         for u in sizes:
             instance = SumTail(tuple(range(u)), args.m)
             colors = sorted(realized_colors(coloring, instance))
             rows.append((str(u), coloring.palette, colors))
     elif args.family == "strict":
-        coloring = chi_star_strict(args.n, args.m)
+        coloring = StrictWitness(args.n, args.m)
         for per_level in sizes:
             instance = Leveled(spread(tuple(range(per_level * args.m)), args.m))
             colors = sorted(realized_colors(coloring, instance))
@@ -170,7 +171,7 @@ def _cmd_witness(args) -> int:
         parts = _parse_sizes(args.parts, "--parts") if args.parts else None
         if parts is None:
             raise _UsageError("witness product needs --parts")
-        coloring = chi_star_product(parts)
+        coloring = ProductWitness(parts)
         for u in sizes:
             colors = sorted(realized_colors(coloring, tuple(range(u))))
             rows.append((str(u), coloring.palette, colors))

@@ -9,14 +9,15 @@ once a reaches w^w.
 
 Degree tables are plain sequences: ``table[j]`` holds the value (or an
 upper bound) of T(j, a) for the base ordinal a of the rule being applied.
-Every result carries a trace of rule applications that
-:func:`replay_trace` re-executes independently.
+Every result carries a trace of rule applications; :data:`RULES` holds
+each rule's statement and formula once, and both the classifier and
+:func:`replay_trace` compute every step through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .ordinal import OMEGA, Ordinal
 from .typecalc import binom, enum_power, out_degrees, rank_counts
@@ -26,21 +27,68 @@ UPPER_BOUND = "upper-bound"
 INFINITE = "infinite"
 FINITE_UNBOUNDED = "finite-unbounded"
 
-_ANCHORS = {
-    "zero-domain": "T(0, C) = 1 for every chain C",
-    "finite-chain-convention": "convention: T(n, c) = C(c, n) for finite c >= n >= 1, else 1",
-    "ramsey-omega": "T(n, w) = 1",
-    "omega-plus-m": "T(n, w + m) = sum_{j=0..n} C(m, j)",
-    "omega-times-m": "T(n, w*m) = m^n",
-    "signed-sum": "T(n, w^(s_0) + ... + w^(s_{m-1})) = m^n",
-    "integers": "T(n, Z) = 2^n",
-    "omega-times-m-table": "T(j, w*m) = m^j for j = 0..R",
-    "bound-add": "T(n, a + m) <= sum_{j=0..n} C(m, j) * T(n - j, a)",
-    "bound-mul": "T(n, a*m) <= sum over (n, m)-multiplicative types t of T(rank(t), a)",
-    "bound-pow": "T(n, a^d) <= sum over (n, d)-power types of the product bound on their out-degrees",
-    "subsum": "T(n, b) <= T(n, a) when b is a subsum of a's remainder-invariant summands",
-    "infinite": "T(n, a) = infinity for a >= w^w and n >= 2",
-    "finite-unbounded": "T(1, a) is finite for every countable ordinal; no value derived here",
+
+class Rule(NamedTuple):
+    """A rule's statement and ``compute(inputs, table)``, which maps a step's
+    recorded inputs and the trace's latest table to the step's output: an
+    int, a tuple for table steps, or None for the valueless kinds."""
+
+    statement: str
+    compute: Callable[[dict, Optional[tuple]], object]
+
+
+def _tail_rule(inputs: dict, table: tuple):
+    """bound-add at rank n, or at every rank up to max_rank."""
+    m = inputs["m"]
+    if "max_rank" in inputs:
+        return tuple(bound_add(j, m, table) for j in range(inputs["max_rank"] + 1))
+    return bound_add(inputs["n"], m, table)
+
+
+def _power_rule(inputs: dict, table: tuple) -> tuple:
+    """bound-pow at every rank up to max_rank; rank 0 stays 1."""
+    d, top = inputs["d"], inputs["max_rank"]
+    return (1,) + tuple(bound_pow(j, d, table) for j in range(1, top + 1))
+
+
+RULES = {
+    "zero-domain": Rule("T(0, C) = 1 for every chain C", lambda i, t: 1),
+    "finite-chain-convention": Rule(
+        "convention: T(n, c) = C(c, n) for finite c >= n >= 1, else 1",
+        lambda i, t: binom(i["c"], i["n"]) if i["c"] >= i["n"] else 1,
+    ),
+    "ramsey-omega": Rule("T(n, w) = 1", lambda i, t: 1),
+    "omega-plus-m": Rule(
+        "T(n, w + m) = sum_{j=0..n} C(m, j)",
+        lambda i, t: exact_omega_plus_m(i["n"], i["m"]),
+    ),
+    "omega-times-m": Rule(
+        "T(n, w*m) = m^n", lambda i, t: exact_omega_times_m(i["n"], i["m"])
+    ),
+    "omega-times-m-table": Rule(
+        "T(j, w*m) = m^j for j = 0..R",
+        lambda i, t: tuple(i["m"] ** j for j in range(i["max_rank"] + 1)),
+    ),
+    "bound-add": Rule(
+        "T(n, a + m) <= sum_{j=0..n} C(m, j) * T(n - j, a)", _tail_rule
+    ),
+    "bound-mul": Rule(
+        "T(n, a*m) <= sum over (n, m)-multiplicative types t of T(rank(t), a)",
+        lambda i, t: bound_mul(i["n"], i["m"], t),
+    ),
+    "bound-pow": Rule(
+        "T(n, a^d) <= sum over (n, d)-power types of the product bound on their out-degrees",
+        _power_rule,
+    ),
+    "subsum": Rule(
+        "T(n, b) <= T(n, a) when b is a subsum of a's remainder-invariant summands",
+        lambda i, t: t[i["n"]],
+    ),
+    "infinite": Rule("T(n, a) = infinity for a >= w^w and n >= 2", lambda i, t: None),
+    "finite-unbounded": Rule(
+        "T(1, a) is finite for every countable ordinal; no value derived here",
+        lambda i, t: None,
+    ),
 }
 
 
@@ -61,7 +109,7 @@ class TraceStep:
 
     @property
     def anchor(self) -> str:
-        return _ANCHORS[self.rule]
+        return RULES[self.rule].statement
 
     def as_json(self) -> dict:
         value = list(self.value) if isinstance(self.value, tuple) else self.value
@@ -176,7 +224,7 @@ def bound_mul(n: int, m: int, table: Sequence[int]) -> int:
 
     total = 0
     for p in _compositions(n, m):
-        for r, count in rank_counts(tuple(x for x in p if x)):
+        for r, count in rank_counts(tuple(sorted(x for x in p if x))):
             total += count * table[r]
     return total
 
@@ -186,7 +234,8 @@ def product_bound(parts: Sequence[int], table: Sequence[int]) -> int:
 
     ``table`` must cover ranks up to sum(parts).
     """
-    parts = tuple(int(x) for x in parts)
+    # sorted, so that equal multisets share one rank_counts cache entry
+    parts = tuple(sorted(map(int, parts)))
     if any(x < 1 for x in parts):
         raise ValueError("parts must be positive")
     _check_table(table, sum(parts))
@@ -234,44 +283,31 @@ def classify(a: Ordinal, n: int, cap: int = 5) -> DegreeResult:
     if n > cap:
         raise ResourceCapError(f"n = {n} exceeds the cap {cap}")
     if n == 0:
-        step = TraceStep("zero-domain", {"alpha": str(a), "n": 0}, 1)
-        return DegreeResult(EXACT, 1, (step,))
+        return _derive(EXACT, ("zero-domain", {"alpha": str(a), "n": 0}))
     if a.is_finite:
-        c = a.as_int()
-        value = binom(c, n) if c >= n else 1
-        step = TraceStep("finite-chain-convention", {"c": c, "n": n}, value)
-        return DegreeResult(EXACT, value, (step,))
+        return _derive(EXACT, ("finite-chain-convention", {"c": a.as_int(), "n": n}))
     if not a.below_omega_omega():
-        if n >= 2:
-            step = TraceStep("infinite", {"alpha": str(a), "n": n})
-            return DegreeResult(INFINITE, trace=(step,))
-        step = TraceStep("finite-unbounded", {"alpha": str(a), "n": n})
-        return DegreeResult(FINITE_UNBOUNDED, trace=(step,))
+        # the two kinds here are also the names of their rules
+        kind = INFINITE if n >= 2 else FINITE_UNBOUNDED
+        return _derive(kind, (kind, {"alpha": str(a), "n": n}))
 
     terms = a.terms
     if a == OMEGA:
-        step = TraceStep("ramsey-omega", {"n": n}, 1)
-        return DegreeResult(EXACT, 1, (step,))
+        return _derive(EXACT, ("ramsey-omega", {"n": n}))
     if terms[0][0] == Ordinal.from_int(1):
         # leading exponent 1 leaves only w*m or w*m + p shapes
         m = terms[0][1]
         tail = terms[1][1] if len(terms) == 2 else 0
         if m == 1:
-            value = exact_omega_plus_m(n, tail)
-            step = TraceStep("omega-plus-m", {"m": tail, "n": n}, value)
-            return DegreeResult(EXACT, value, (step,))
+            return _derive(EXACT, ("omega-plus-m", {"m": tail, "n": n}))
         if tail == 0:
-            value = exact_omega_times_m(n, m)
-            step = TraceStep("omega-times-m", {"m": m, "n": n}, value)
-            return DegreeResult(EXACT, value, (step,))
-        table = tuple(m**j for j in range(n + 1))
-        steps = [TraceStep("omega-times-m-table", {"m": m, "max_rank": n}, table)]
-        value = bound_add(n, tail, table)
-        steps.append(TraceStep("bound-add", {"m": tail, "n": n}, value))
-        return DegreeResult(UPPER_BOUND, value, tuple(steps))
-
-    value, steps = _pipeline(a, n)
-    return DegreeResult(UPPER_BOUND, value, tuple(steps))
+            return _derive(EXACT, ("omega-times-m", {"m": m, "n": n}))
+        return _derive(
+            UPPER_BOUND,
+            ("omega-times-m-table", {"m": m, "max_rank": n}),
+            ("bound-add", {"m": tail, "n": n}),
+        )
+    return _derive(UPPER_BOUND, *_pipeline(a, n))
 
 
 def pipeline_bound(a: Ordinal, n: int, cap: int = 5) -> DegreeResult:
@@ -288,14 +324,13 @@ def pipeline_bound(a: Ordinal, n: int, cap: int = 5) -> DegreeResult:
     if not a.below_omega_omega():
         raise ValueError("no finite bound exists at or above w^w")
     if n == 0:
-        step = TraceStep("zero-domain", {"alpha": str(a), "n": 0}, 1)
-        return DegreeResult(EXACT, 1, (step,))
-    value, steps = _pipeline(a, n)
-    return DegreeResult(UPPER_BOUND, value, tuple(steps))
+        return _derive(EXACT, ("zero-domain", {"alpha": str(a), "n": 0}))
+    return _derive(UPPER_BOUND, *_pipeline(a, n))
 
 
 def _pipeline(a: Ordinal, n: int):
-    """Bound T(n, a) for infinite a < w^w via a power of w*m + 1.
+    """The (rule, inputs) steps bounding T(n, a) for infinite a < w^w
+    via a power of w*m + 1.
 
     With m the largest core coefficient and d the leading exponent,
     (w*m + 1)^d expands to w^d*m + ... + w*m + 1, and the core of a is a
@@ -303,37 +338,42 @@ def _pipeline(a: Ordinal, n: int):
     rule.  Tables run to rank R = n*d because the power rule consumes
     ranks up to the total out-degree of its trees.
     """
-    core = [(e.as_int(), c) for e, c in a.terms if not e.is_zero]
+    core = Ordinal(tuple((e, c) for e, c in a.terms if not e.is_zero))
     tail = a.terms[-1][1] if a.terms[-1][0].is_zero else 0
-    m = max(c for _, c in core)
-    d = core[0][0]
-    r_max = n * d
-
-    base = tuple(m**j for j in range(r_max + 1))
-    steps = [TraceStep("omega-times-m-table", {"m": m, "max_rank": r_max}, base)]
-
-    lifted = tuple(bound_add(j, 1, base) for j in range(r_max + 1))
-    steps.append(TraceStep("bound-add", {"m": 1, "max_rank": r_max}, lifted))
-
-    powered = (1,) + tuple(bound_pow(j, d, lifted) for j in range(1, n + 1))
-    steps.append(TraceStep("bound-pow", {"d": d, "max_rank": n}, powered))
-
-    core_str = str(Ordinal(tuple((e, c) for e, c in a.terms if not e.is_zero)))
-    value = powered[n]
-    steps.append(
-        TraceStep(
-            "subsum",
-            {"core": core_str, "power_base": f"w*{m} + 1", "exponent": d, "n": n},
-            value,
-        )
-    )
+    m = max(c for _, c in core.terms)
+    d = core.leading_exponent.as_int()
+    base = f"w*{m} + 1"
+    steps = [
+        ("omega-times-m-table", {"m": m, "max_rank": n * d}),
+        ("bound-add", {"m": 1, "max_rank": n * d}),
+        ("bound-pow", {"d": d, "max_rank": n}),
+        ("subsum", {"core": str(core), "power_base": base, "exponent": d, "n": n}),
+    ]
     if tail:
-        value = bound_add(n, tail, powered)
-        steps.append(TraceStep("bound-add", {"m": tail, "n": n}, value))
-    return value, steps
+        steps.append(("bound-add", {"m": tail, "n": n}))
+    return steps
 
 
-# -- trace replay ----------------------------------------------------
+# -- derivation and replay -------------------------------------------
+
+
+def _apply(steps):
+    """Run (rule, inputs) steps through :data:`RULES`, feeding each the
+    latest table; yield (rule, inputs, output) per step."""
+    table = None
+    for rule, inputs in steps:
+        if rule not in RULES:
+            raise ValueError(f"unknown trace rule {rule!r}")
+        produced = RULES[rule].compute(inputs, table)
+        if isinstance(produced, tuple):
+            table = produced
+        yield rule, inputs, produced
+
+
+def _derive(kind: str, *steps) -> DegreeResult:
+    """The result of ``steps``, valued by the output of the last one."""
+    trace = tuple(TraceStep(*applied) for applied in _apply(steps))
+    return DegreeResult(kind, trace[-1].value, trace)
 
 
 def replay_trace(result: DegreeResult) -> Optional[int]:
@@ -342,55 +382,12 @@ def replay_trace(result: DegreeResult) -> Optional[int]:
     Returns the reproduced value (None for the valueless kinds); raises
     ValueError on any step that does not recompute to its recorded output.
     """
-    table = None
     value = None
-    for step in result.trace:
-        rule, inputs = step.rule, step.inputs
-        if rule == "zero-domain":
-            value = 1
-        elif rule == "finite-chain-convention":
-            c, n = inputs["c"], inputs["n"]
-            value = binom(c, n) if c >= n else 1
-        elif rule == "ramsey-omega":
-            value = 1
-        elif rule == "omega-plus-m":
-            value = exact_omega_plus_m(inputs["n"], inputs["m"])
-        elif rule == "omega-times-m":
-            value = exact_omega_times_m(inputs["n"], inputs["m"])
-        elif rule == "signed-sum":
-            value = len(inputs["signs"]) ** inputs["n"]
-        elif rule == "integers":
-            value = exact_integers(inputs["n"])
-        elif rule == "omega-times-m-table":
-            table = tuple(inputs["m"] ** j for j in range(inputs["max_rank"] + 1))
-            value = None
-        elif rule == "bound-add":
-            if "max_rank" in inputs:
-                table = tuple(
-                    bound_add(j, inputs["m"], table)
-                    for j in range(inputs["max_rank"] + 1)
-                )
-                value = None
-            else:
-                value = bound_add(inputs["n"], inputs["m"], table)
-        elif rule == "bound-mul":
-            value = bound_mul(inputs["n"], inputs["m"], table)
-        elif rule == "bound-pow":
-            table = (1,) + tuple(
-                bound_pow(j, inputs["d"], table)
-                for j in range(1, inputs["max_rank"] + 1)
-            )
-            value = None
-        elif rule == "subsum":
-            value = table[inputs["n"]]
-        elif rule in ("infinite", "finite-unbounded"):
-            value = None
-        else:
-            raise ValueError(f"unknown trace rule {rule!r}")
-        recorded = step.value
-        produced = table if recorded is not None and value is None else value
-        if recorded is not None and produced != recorded:
-            raise ValueError(f"step {rule} replayed to {produced}, not {recorded}")
+    replayed = _apply((step.rule, step.inputs) for step in result.trace)
+    for step, (rule, _, produced) in zip(result.trace, replayed):
+        if step.value is not None and produced != step.value:
+            raise ValueError(f"step {rule} replayed to {produced}, not {step.value}")
+        value = None if isinstance(produced, tuple) else produced
     if value != result.value:
         raise ValueError(f"trace replays to {value}, result holds {result.value}")
     return value

@@ -12,7 +12,8 @@ The concrete syntax accepted by :func:`parse` and produced by ``str()``:
     term  :=  'w' ('^' expo)? ('*' nat)?  |  nat
     expo  :=  nat  |  '(' expr ')'  |  'w'
 
-Whitespace is insignificant.  ``str()`` emits the canonical spelling:
+Whitespace is insignificant, and parenthesized exponents nest at most
+:data:`MAX_NESTING` deep.  ``str()`` emits the canonical spelling:
 terms in decreasing exponent order, ``^1`` and ``*1`` suppressed, ``" + "``
 between terms, so ``parse(str(a)) == a`` exactly.
 """
@@ -21,6 +22,12 @@ from __future__ import annotations
 
 import functools
 from typing import Iterable, Tuple
+
+
+# Deepest parenthesized exponent the parser accepts.  Parsing, comparing
+# and printing recurse once per level, so this keeps them far from the
+# interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 class OrdinalSyntaxError(ValueError):
@@ -239,6 +246,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def run(self) -> Ordinal:
         value = self.expr()
@@ -302,8 +310,12 @@ class _Parser:
             self.pos += 1
             return OMEGA
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"exponents nest deeper than {MAX_NESTING} levels")
             self.pos += 1
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.skip_ws()
             if self.peek() != ")":
                 self.fail("expected ')'")

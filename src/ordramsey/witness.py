@@ -108,18 +108,6 @@ class ProductWitness:
         return itertools.product(*pools)
 
 
-def chi_star_additive(n: int, m: int) -> AdditiveWitness:
-    return AdditiveWitness(n, m)
-
-
-def chi_star_strict(n: int, m: int) -> StrictWitness:
-    return StrictWitness(n, m)
-
-
-def chi_star_product(parts: Sequence[int]) -> ProductWitness:
-    return ProductWitness(parts)
-
-
 def spread(source: Sequence[int], m: int) -> Tuple[Chain, ...]:
     """Split a chain into m levels, level i taking every m-th element
     starting at the i-th.  Distinct levels never share a value, which is

@@ -47,7 +47,7 @@ from ordramsey.verify import (
     check_roundtrips,
     check_type_counts,
 )
-from ordramsey.witness import chi_star_additive, chi_star_strict, realized_colors, spread
+from ordramsey.witness import AdditiveWitness, StrictWitness, realized_colors, spread
 
 
 @contextlib.contextmanager
@@ -164,14 +164,14 @@ def test_criterion_6_witness_realization(capsys):
     with criterion(capsys, 6, "witness palette realization", limit=60.0):
         for n in range(1, 5):
             for m in range(1, 5):
-                additive = chi_star_additive(n, m)
+                additive = AdditiveWitness(n, m)
                 realized = realized_colors(additive, SumTail(tuple(range(n)), m))
                 assert realized == set(range(additive.palette))
                 assert additive.palette == sum(
                     math.comb(m, j) for j in range(min(n, m) + 1)
                 )
 
-                strict = chi_star_strict(n, m)
+                strict = StrictWitness(n, m)
                 levels = Leveled(spread(tuple(range(n * m)), m))
                 realized = realized_colors(strict, levels)
                 assert len(realized) == m**n

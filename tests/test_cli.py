@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from ordramsey.cli import EXIT_FAILED, EXIT_OK, EXIT_PARSE, EXIT_RESOURCE, main
+from ordramsey.ordinal import MAX_NESTING
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +59,19 @@ class TestClassify:
         assert code == EXIT_PARSE
         assert err.startswith("parse error:")
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    @pytest.mark.parametrize(
+        "depth,code",
+        [(MAX_NESTING, EXIT_OK), (MAX_NESTING + 1, EXIT_PARSE), (1200, EXIT_PARSE)],
+    )
+    def test_nesting_limit(self, capsys, depth, code, json_flag):
+        nested = "w^(" * depth + "w" + ")" * depth
+        got, _, err = run_cli(capsys, "classify", nested, "--n", "2", *json_flag)
+        assert got == code
+        assert "Traceback" not in err
+        if code == EXIT_PARSE:
+            assert err.startswith("parse error:")
+
     def test_resource_cap(self, capsys):
         code, _, err = run_cli(capsys, "classify", "w^2", "--n", "9")
         assert code == EXIT_RESOURCE
@@ -96,6 +110,16 @@ class TestExact:
     def test_signed(self, capsys):
         _, out, _ = run_cli(capsys, "exact", "signed", "--n", "2", "--signs", "+-")
         assert out.strip() == "T(2, w^(+) + w^(-)) = 4"
+
+    def test_signed_all_negative(self, capsys):
+        # argparse strips a lone "--" from option values
+        code, out, _ = run_cli(capsys, "exact", "signed", "--n", "2", "--signs=--")
+        assert code == EXIT_OK
+        assert out.strip() == "T(2, w^(-) + w^(-)) = 4"
+        argv = ("exact", "signed", "--n", "2", "--signs=--", "--json")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["value"] == 4
 
     def test_json(self, capsys):
         _, out, _ = run_cli(capsys, "exact", "omega*m", "--n", "3", "--m", "2", "--json")
@@ -201,3 +225,15 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "T(1, Z) = 2"
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_deep_nesting_exits_without_traceback(self, json_flag):
+        nested = "w^(" * 1200 + "w" + ")" * 1200
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordramsey", "classify", nested, "--n", "2", *json_flag],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_PARSE
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("parse error:")

@@ -11,9 +11,6 @@ from ordramsey.witness import (
     AdditiveWitness,
     ProductWitness,
     StrictWitness,
-    chi_star_additive,
-    chi_star_product,
-    chi_star_strict,
     realized_colors,
     spread,
 )
@@ -33,7 +30,7 @@ class TestAdditiveWitness:
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (3, 2), (2, 3), (4, 4)])
     def test_full_palette_realized(self, n, m):
-        w = chi_star_additive(n, m)
+        w = AdditiveWitness(n, m)
         codomain = SumTail(tuple(range(n)), m)
         assert realized_colors(w, codomain) == set(range(w.palette))
 
@@ -59,12 +56,12 @@ class TestStrictWitness:
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (3, 2), (2, 3), (4, 2), (2, 4)])
     def test_spread_realizes_full_palette(self, n, m):
-        w = chi_star_strict(n, m)
+        w = StrictWitness(n, m)
         levels = spread(range(n * m), m)
         assert realized_colors(w, Leveled(levels)) == set(range(w.palette))
 
     def test_shared_values_stay_within_palette(self):
-        w = chi_star_strict(2, 2)
+        w = StrictWitness(2, 2)
         codomain = Leveled(((0, 1), (0, 1)))
         realized = realized_colors(w, codomain)
         assert realized <= set(range(w.palette))
@@ -78,7 +75,7 @@ class TestProductWitness:
 
     @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1)])
     def test_full_palette_realized(self, parts):
-        w = chi_star_product(parts)
+        w = ProductWitness(parts)
         # a universe of size 2n leaves room for every collision pattern
         assert realized_colors(w, range(2 * w.n)) == set(range(w.palette))
 

@@ -223,10 +223,3 @@ def _transport_images(images, signed: Signed):
     for value, index in images:
         part, sign = signed.parts[index]
         yield (value if sign == PLUS else _mirror(part, value), index)
-
-
-def images_as_json(f: Embedding) -> list:
-    """Images as JSON data: [value, level] pairs, or plain lists for Power."""
-    if isinstance(f.codomain, Power):
-        return [list(point) for point in f.images]
-    return [[value, level] for value, level in f.images]

@@ -45,89 +45,114 @@ def _print_json(data) -> None:
     print(json.dumps(data, indent=2))
 
 
-def _render_result(expr: str, n: int, result) -> dict:
-    return {"input": expr, "n": n, "result": result.as_json()}
+class _Parser(argparse.ArgumentParser):
+    """Reads a lone "--" option value, as in ``--signs=--``, as the text "--".
+
+    argparse strips it and hands back [], which no option here can take.
+    """
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
 
 
-def _emit_result(args, expr: str, result) -> int:
-    model = _render_result(expr, args.n, result)
-    if args.json:
-        _print_json(model)
-        return EXIT_OK
-    value = "infinity" if result.kind == "infinite" else result.value
-    if result.kind == "finite-unbounded":
-        value = "finite (no value computed)"
-    print(f"T({args.n}, {expr}) [{result.kind}] = {value}")
-    for step in result.trace:
-        print(f"  {step.rule}: {step.anchor}")
-    return EXIT_OK
+class _UsageError(ValueError):
+    pass
 
 
-def _cmd_classify(args) -> int:
-    result = classify(parse(args.ordinal), args.n, cap=args.cap)
-    return _emit_result(args, args.ordinal, result)
+def _parse_sizes(text: str, flag: str):
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise _UsageError(f"{flag} expects comma-separated integers")
 
 
-def _cmd_bound(args) -> int:
-    result = pipeline_bound(parse(args.ordinal), args.n, cap=args.cap)
-    return _emit_result(args, args.ordinal, result)
+def _parts(args):
+    if not args.parts:
+        raise _UsageError(f"{args.command} product needs --parts")
+    return _parse_sizes(args.parts, "--parts")
 
 
-def _cmd_exact(args) -> int:
-    family = args.family
-    if family == "omega":
-        value = exact_omega(args.n)
-        label = "w"
-    elif family == "omega+m":
-        value = exact_omega_plus_m(args.n, args.m)
-        label = f"w + {args.m}"
-    elif family == "omega*m":
-        value = exact_omega_times_m(args.n, args.m)
-        label = f"w*{args.m}"
-    elif family == "Z":
-        value = exact_integers(args.n)
-        label = "Z"
-    else:
-        # argparse strips a lone "--" from option values, so --signs=-- arrives as []
-        signs = tuple("--" if args.signs == [] else args.signs)
-        value = exact_signed(args.n, signs)
-        label = " + ".join(f"w^({s})" for s in signs)
-    if args.json:
-        _print_json({"family": family, "n": args.n, "value": value})
-    else:
-        print(f"T({args.n}, {label}) = {value}")
-    return EXIT_OK
-
-
-def _type_listing(args):
-    if args.family == "additive":
-        return [t.as_json() for t in enum_additive(args.n, args.m)]
-    if args.family == "mult":
-        return [t.as_json() for t in enum_mult(args.n, args.m)]
-    if args.family == "strict":
-        out = []
-        for t in enum_strict(args.n, args.m):
-            record = t.as_json()
-            record["word"] = strict_to_word(t)
-            out.append(record)
-        return out
-    if args.family == "power":
-        return [_tree_json(t) for t in enum_power(args.n, args.m)]
-    parts = _parse_sizes(args.parts, "--parts")
-    return [t.as_json() for t in enum_product_types(parts)]
+def _n_m(args):
+    if args.n is None or args.m is None:
+        raise _UsageError(f"types {args.family} needs --n and --m")
+    return args.n, args.m
 
 
 def _tree_json(tree):
     return [_tree_json(child) for child in tree]
 
 
+# The family tables hold lambdas rather than the functions they call, so
+# each call looks the name up on this module: a function rebound there
+# after import (as a tracer does) is the one that runs.
+
+# exact family -> (value, label) for the parsed arguments
+_EXACT = {
+    "omega": lambda args: (exact_omega(args.n), "w"),
+    "omega+m": lambda args: (exact_omega_plus_m(args.n, args.m), f"w + {args.m}"),
+    "omega*m": lambda args: (exact_omega_times_m(args.n, args.m), f"w*{args.m}"),
+    "Z": lambda args: (exact_integers(args.n), "Z"),
+    "signed": lambda args: (
+        exact_signed(args.n, tuple(args.signs)),
+        " + ".join(f"w^({s})" for s in args.signs),
+    ),
+}
+
+# type family -> its JSON records for the parsed arguments
+_TYPES = {
+    "additive": lambda args: [t.as_json() for t in enum_additive(*_n_m(args))],
+    "mult": lambda args: [t.as_json() for t in enum_mult(*_n_m(args))],
+    "strict": lambda args: [
+        dict(t.as_json(), word=strict_to_word(t)) for t in enum_strict(*_n_m(args))
+    ],
+    "power": lambda args: [_tree_json(t) for t in enum_power(*_n_m(args))],
+    "product": lambda args: [t.as_json() for t in enum_product_types(_parts(args))],
+}
+
+# witness family -> (coloring for the parsed arguments, instance of one size)
+_WITNESSES = {
+    "additive": (
+        lambda args: AdditiveWitness(args.n, args.m),
+        lambda args, u: SumTail(tuple(range(u)), args.m),
+    ),
+    "strict": (
+        lambda args: StrictWitness(args.n, args.m),
+        lambda args, per_level: Leveled(spread(tuple(range(per_level * args.m)), args.m)),
+    ),
+    "product": (
+        lambda args: ProductWitness(_parts(args)),
+        lambda args, u: tuple(range(u)),
+    ),
+}
+
+
+def _cmd_degree(args) -> int:
+    result = args.entry(parse(args.ordinal), args.n, cap=args.cap)
+    if args.json:
+        _print_json({"input": args.ordinal, "n": args.n, "result": result.as_json()})
+        return EXIT_OK
+    value = "infinity" if result.kind == "infinite" else result.value
+    if result.kind == "finite-unbounded":
+        value = "finite (no value computed)"
+    print(f"T({args.n}, {args.ordinal}) [{result.kind}] = {value}")
+    for step in result.trace:
+        print(f"  {step.rule}: {step.anchor}")
+    return EXIT_OK
+
+
+def _cmd_exact(args) -> int:
+    value, label = _EXACT[args.family](args)
+    if args.json:
+        _print_json({"family": args.family, "n": args.n, "value": value})
+    else:
+        print(f"T({args.n}, {label}) = {value}")
+    return EXIT_OK
+
+
 def _cmd_types(args) -> int:
-    if args.family == "product":
-        if not args.parts:
-            raise _UsageError("types product needs --parts")
-    elif args.n is None or args.m is None:
-        raise _UsageError(f"types {args.family} needs --n and --m")
-    listing = _type_listing(args)
+    listing = _TYPES[args.family](args)
     if args.count_only:
         print(len(listing))
     elif args.json:
@@ -138,43 +163,14 @@ def _cmd_types(args) -> int:
     return EXIT_OK
 
 
-def _parse_sizes(text: str, flag: str):
-    try:
-        values = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise _UsageError(f"{flag} expects comma-separated integers")
-    if not values:
-        raise _UsageError(f"{flag} must be nonempty")
-    return values
-
-
-class _UsageError(ValueError):
-    pass
-
-
 def _cmd_witness(args) -> int:
     sizes = _parse_sizes(args.sizes, "--sizes")
-    rows = []
-    if args.family == "additive":
-        coloring = AdditiveWitness(args.n, args.m)
-        for u in sizes:
-            instance = SumTail(tuple(range(u)), args.m)
-            colors = sorted(realized_colors(coloring, instance))
-            rows.append((str(u), coloring.palette, colors))
-    elif args.family == "strict":
-        coloring = StrictWitness(args.n, args.m)
-        for per_level in sizes:
-            instance = Leveled(spread(tuple(range(per_level * args.m)), args.m))
-            colors = sorted(realized_colors(coloring, instance))
-            rows.append((str(per_level), coloring.palette, colors))
-    else:
-        parts = _parse_sizes(args.parts, "--parts") if args.parts else None
-        if parts is None:
-            raise _UsageError("witness product needs --parts")
-        coloring = ProductWitness(parts)
-        for u in sizes:
-            colors = sorted(realized_colors(coloring, tuple(range(u))))
-            rows.append((str(u), coloring.palette, colors))
+    make_coloring, make_instance = _WITNESSES[args.family]
+    coloring = make_coloring(args)
+    rows = [
+        (str(u), coloring.palette, sorted(realized_colors(coloring, make_instance(args, u))))
+        for u in sizes
+    ]
     if args.json:
         _print_json(
             {
@@ -193,14 +189,14 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_all(args.n_max, args.m_max, args.s_max, args.size_max)
+    report = run_all()
     for line in report.lines():
         print(line)
     return EXIT_OK if report.ok else EXIT_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ordramsey",
         description="Big Ramsey degree calculus for countable ordinals.",
     )
@@ -211,19 +207,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="subchain size")
     p.add_argument("--cap", type=int, default=5, help="resource cap on n")
     p.add_argument("--json", action="store_true", help="emit the JSON model")
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_degree, entry=classify)
 
     p = sub.add_parser("bound", help="run the general pipeline bound with trace")
     p.add_argument("ordinal")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int, default=5)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_bound)
+    p.set_defaults(func=_cmd_degree, entry=pipeline_bound)
 
     p = sub.add_parser("exact", help="closed-form degree families")
-    p.add_argument(
-        "family", choices=["omega", "omega+m", "omega*m", "Z", "signed"]
-    )
+    p.add_argument("family", choices=_EXACT)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--signs", default="+", help="sign string for signed, e.g. '+-+'")
@@ -231,9 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("types", help="enumerate a type family")
-    p.add_argument(
-        "family", choices=["additive", "mult", "strict", "power", "product"]
-    )
+    p.add_argument("family", choices=_TYPES)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--parts", help="comma-separated level counts for product")
@@ -242,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_types)
 
     p = sub.add_parser("witness", help="realization report for a witness coloring")
-    p.add_argument("family", choices=["additive", "strict", "product"])
+    p.add_argument("family", choices=_WITNESSES)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--parts", help="comma-separated level counts for product")
@@ -255,10 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("verify", help="run the enumeration-backed check suites")
-    p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--m-max", type=int, default=5)
-    p.add_argument("--s-max", type=int, default=4)
-    p.add_argument("--size-max", type=int, default=3)
     p.set_defaults(func=_cmd_verify)
     return parser
 

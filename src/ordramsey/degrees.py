@@ -213,20 +213,17 @@ def bound_add(n: int, m: int, table: Sequence[int]) -> int:
 def bound_mul(n: int, m: int, table: Sequence[int]) -> int:
     """Product rule: sum of T(rank(t), a) over all (n, m)-multiplicative types.
 
-    Evaluated through the closed-form rank counts; the verify module pins
-    agreement with the explicit type enumeration.
+    C(m*y, n) counts the (n, m)-types whose y value blocks may be empty,
+    so inclusion-exclusion over the empty blocks counts those of rank r.
     """
     _check_n(n)
     if m < 1:
         raise ValueError("m must be >= 1")
     _check_table(table, n)
-    from .typecalc import _compositions
-
-    total = 0
-    for p in _compositions(n, m):
-        for r, count in rank_counts(tuple(sorted(x for x in p if x))):
-            total += count * table[r]
-    return total
+    return sum(
+        table[r] * sum((-1) ** i * binom(r, i) * binom(m * (r - i), n) for i in range(r + 1))
+        for r in range(n + 1)
+    )
 
 
 def product_bound(parts: Sequence[int], table: Sequence[int]) -> int:

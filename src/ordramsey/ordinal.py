@@ -106,12 +106,6 @@ class Ordinal:
             raise ValueError("0 has no leading term")
         return self.terms[0][0]
 
-    @property
-    def leading_coefficient(self) -> int:
-        if not self.terms:
-            raise ValueError("0 has no leading term")
-        return self.terms[0][1]
-
     # -- comparison --------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -158,23 +158,24 @@ REF_POWER_VAL = (
 # -- type count checks -----------------------------------------------
 
 
-def check_type_counts(n_max: int = 5, m_max: int = 5, s_max: int = 4) -> Report:
-    """Counts by enumeration against the closed-form counters.
+def check_type_counts() -> Report:
+    """Counts by enumeration against the closed-form counters, for
+    n, m <= 5 and all-ones level-count vectors of length s <= 4.
 
     Level-count vectors with a part above 1 are a known divergence from
     the plain ordered-Bell count and come back flagged, not failed.
     """
     report = Report()
-    for n in range(n_max + 1):
-        for m in range(m_max + 1):
+    for n in range(6):
+        for m in range(6):
             expected = sum(binom(m, j) for j in range(n + 1))
             report.add(
                 "additive-count", {"n": n, "m": m}, expected, len(enum_additive(n, m))
             )
-    for n in range(1, n_max + 1):
-        for m in range(1, m_max + 1):
+    for n in range(1, 6):
+        for m in range(1, 6):
             report.add("strict-count", {"n": n, "m": m}, m**n, len(enum_strict(n, m)))
-    for s in range(1, s_max + 1):
+    for s in range(1, 5):
         report.add(
             "product-count-all-ones",
             {"s": s},
@@ -230,11 +231,11 @@ def check_type_counts(n_max: int = 5, m_max: int = 5, s_max: int = 4) -> Report:
     return report
 
 
-def check_product_bound(parts_list=((1, 1), (2,), (1, 1, 1), (2, 1), (1, 2))) -> Report:
+def check_product_bound() -> Report:
     """The rank-count evaluation of the product rule against a literal
     sum over the enumerated types, for two different base tables."""
     report = Report()
-    for parts in parts_list:
+    for parts in ((1, 1), (2,), (1, 1, 1), (2, 1), (1, 2)):
         total = sum(parts)
         for label, table in (
             ("ones", (1,) * (total + 1)),
@@ -263,16 +264,17 @@ def _tally(report: Report, name: str, round_trips) -> None:
     report.add(name, {"checked": checked}, 0, failures)
 
 
-def check_roundtrips(n_max: int = 3, m_max: int = 3, size_max: int = 3) -> Report:
-    """Extraction and reconstruction as exact inverses, exhaustively."""
+def check_roundtrips() -> Report:
+    """Extraction and reconstruction as exact inverses, exhaustively, for
+    n, m and chain sizes up to 3."""
     report = Report()
-    levels, sizes = range(1, m_max + 1), range(1, size_max + 1)
+    levels = sizes = range(1, 4)
 
     leveled = (Leveled((tuple(range(s)),) * m) for m in levels for s in sizes)
     trips = (
         reconstruct_mult(mult_type(f), mult_val(f), codomain) == f
         for codomain in leveled
-        for n in range(n_max + 1)
+        for n in range(4)
         for f in enumerate_embeddings(n, codomain)
     )
     _tally(report, "mult-roundtrip", trips)
@@ -281,7 +283,7 @@ def check_roundtrips(n_max: int = 3, m_max: int = 3, size_max: int = 3) -> Repor
     trips = (
         reconstruct_power(power_type(f), power_val(f), codomain) == f
         for codomain in powers
-        for n in range(1, n_max + 1)
+        for n in range(1, 4)
         for f in enumerate_embeddings(n, codomain)
     )
     _tally(report, "power-roundtrip", trips)
@@ -336,36 +338,32 @@ def check_reference_instances() -> Report:
 # -- the finite-chain coloring oracle --------------------------------
 
 
-def finite_degree_oracle(c: int, n: int, k: int, max_colorings: int = 300_000) -> int:
+def finite_degree_oracle(c: int, n: int, k: int) -> int:
     """Least t such that every k-coloring of the n-subchains of a c-chain
     has a copy of the chain realizing at most t colors.
 
     A finite chain has exactly one copy of itself, so this searches every
     coloring exhaustively and reports the worst realized count.  Caps:
     c <= 6, n <= 3, and the coloring space k^C(c, n) must fit under
-    ``max_colorings`` (which is what keeps k small in practice).
+    300 000 (which is what keeps k small in practice).
     """
     if not (1 <= n <= 3 and 0 <= c <= 6 and k >= 1):
         raise ResourceCapError(f"oracle caps exceeded: c={c}, n={n}, k={k}")
     subchains = binom(c, n)
     space = k**subchains
-    if space > max_colorings:
-        raise ResourceCapError(
-            f"coloring space {k}^{subchains} exceeds {max_colorings}"
-        )
+    if space > 300_000:
+        raise ResourceCapError(f"coloring space {k}^{subchains} exceeds 300000")
     worst = 0
     for coloring in itertools.product(range(k), repeat=subchains):
         worst = max(worst, len(set(coloring)))
     return worst
 
 
-def check_finite_convention(
-    cases=((4, 2, 2), (5, 2, 3), (3, 3, 2), (4, 1, 3), (6, 2, 2), (3, 3, 5)),
-) -> Report:
+def check_finite_convention() -> Report:
     """The oracle agrees with min(k, C(c, n)) on every desk-scale case,
     supporting the finite-chain degree convention as the large-k limit."""
     report = Report()
-    for c, n, k in cases:
+    for c, n, k in ((4, 2, 2), (5, 2, 3), (3, 3, 2), (4, 1, 3), (6, 2, 2), (3, 3, 5)):
         report.add(
             "finite-degree-oracle",
             {"c": c, "n": n, "k": k},
@@ -375,11 +373,11 @@ def check_finite_convention(
     return report
 
 
-def run_all(n_max: int = 5, m_max: int = 5, s_max: int = 4, size_max: int = 3) -> Report:
+def run_all() -> Report:
     """Every check suite in one report."""
     report = Report()
-    report.extend(check_type_counts(n_max, m_max, s_max))
+    report.extend(check_type_counts())
     report.extend(check_product_bound())
-    report.extend(check_roundtrips(min(n_max, 3), min(m_max, 3), size_max))
+    report.extend(check_roundtrips())
     report.extend(check_finite_convention())
     return report

@@ -29,8 +29,6 @@ class AdditiveWitness:
     the full additive type count sum_{j<=n} C(m, j).
     """
 
-    family = "additive"
-
     def __init__(self, n: int, m: int):
         self.n = n
         self.m = m
@@ -54,8 +52,6 @@ class StrictWitness:
     per-level values) collisions cannot occur and the full m^n palette is
     realized.
     """
-
-    family = "strict"
 
     def __init__(self, n: int, m: int):
         self.n = n
@@ -81,8 +77,6 @@ class ProductWitness:
     type indexes the palette, the realizable types with exactly these
     level counts.
     """
-
-    family = "product"
 
     def __init__(self, parts: Sequence[int]):
         self.parts = tuple(int(x) for x in parts)

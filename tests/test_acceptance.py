@@ -146,7 +146,7 @@ def test_criterion_4_counting_oracles(capsys):
 def test_criterion_5_round_trips(capsys):
     """Extraction and reconstruction as exact inverses, zero failures."""
     with criterion(capsys, 5, "round-trip suites", limit=60.0):
-        report = check_roundtrips(3, 3, 3)
+        report = check_roundtrips()
         assert report.ok
         for name in (
             "mult-roundtrip",

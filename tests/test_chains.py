@@ -15,7 +15,6 @@ from ordramsey.chains import (
     SumTail,
     check_embedding,
     enumerate_embeddings,
-    images_as_json,
     leveled_of,
     order_points,
     reverse_transport,
@@ -140,14 +139,3 @@ class TestTransport:
         leveled = Leveled(((0, 1),))
         with pytest.raises(TypeError):
             reverse_transport(Embedding(leveled, ((0, 0),)))
-
-
-class TestJson:
-    def test_pairs(self):
-        codomain = SumTail((5, 9), 1)
-        f = Embedding(codomain, ((5, 0), (0, 1)))
-        assert images_as_json(f) == [[5, 0], [0, 1]]
-
-    def test_power_tuples(self):
-        f = Embedding(Power((0, 1), 2), ((0, 0), (1, 1)))
-        assert images_as_json(f) == [[0, 0], [1, 1]]

@@ -197,23 +197,70 @@ class TestWitness:
         assert code == EXIT_PARSE
         assert "sizes" in err
 
+    @pytest.mark.parametrize("family", ["additive", "strict", "product"])
+    def test_lone_dashes_sizes(self, capsys, family):
+        # argparse strips a lone "--" option value unless the CLI keeps it
+        code, out, err = run_cli(capsys, "witness", family, "--parts", "1", "--sizes=--")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == "usage error: --sizes expects comma-separated integers\n"
+
 
 class TestVerify:
     def test_small_sweep_green(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "verify",
-            "--n-max", "2",
-            "--m-max", "2",
-            "--s-max", "2",
-            "--size-max", "2",
-        )
+        code, out, _ = run_cli(capsys, "verify")
         assert code == EXIT_OK
         assert "mismatched" in out.splitlines()[-1]
         assert " 0 mismatched" in out.splitlines()[-1]
 
+    def test_fixed_sweep_takes_no_size_flags(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n-max", "2"])
+        assert exc.value.code == EXIT_PARSE
+
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_FAILED, EXIT_PARSE, EXIT_RESOURCE}) == 4
+
+
+ODD_FLAGS = [
+    *(
+        ("witness", family, "--parts", "1", *sizes)
+        for family in ("additive", "strict", "product")
+        for sizes in (("--sizes=--",), ("--sizes", ","), ("--sizes", "0"), ("--sizes", "-1"))
+    ),
+    ("witness", "product", "--parts=--", "--sizes", "2"),
+    ("witness", "product", "--parts", "0", "--sizes", "2"),
+    ("witness", "strict", "--m", "0", "--sizes", "1"),
+    ("witness", "additive", "--n", "-1", "--sizes", "1"),
+    ("witness", "strict", "--n=--", "--sizes", "2"),
+    ("types", "product", "--parts=--"),
+    ("types", "product", "--parts", "0"),
+    ("types", "product", "--parts", ""),
+    ("types", "strict", "--m", "11"),
+    ("types", "strict", "--n", "2", "--m", "11"),
+    ("types", "strict", "--n", "2", "--m", "0"),
+    ("types", "power", "--n", "0", "--m", "1"),
+    ("types", "additive", "--n=--", "--m", "2"),
+    ("exact", "omega*m", "--n", "2", "--m", "0"),
+    ("exact", "omega+m", "--n", "2", "--m=--"),
+    ("exact", "omega", "--n", "-1"),
+    ("exact", "signed", "--n", "2", "--signs", ""),
+    ("exact", "signed", "--n", "2", "--signs", "x"),
+    ("classify", "w", "--n=--"),
+    ("classify", "w^2", "--n", "2", "--cap=--"),
+    ("bound", "w^2", "--n", "-1"),
+    ("bound", "w^2", "--n", "2", "--cap", "0"),
+    ("verify", "--n-max", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", ODD_FLAGS, ids=" ".join)
+def test_odd_flags_exit_without_traceback(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_RESOURCE)
 
 
 class TestEntryPoint:

@@ -96,6 +96,9 @@ class TestBoundRules:
         for n in range(4):
             for m in (1, 2, 3):
                 assert bound_mul(n, m, (1,) * (n + 1)) == len(enum_mult(n, m))
+                table = (1, 2, 4, 8)
+                literal = sum(table[t.rank] for t in enum_mult(n, m))
+                assert bound_mul(n, m, table) == literal
 
     @given(st.integers(min_value=0, max_value=5), st.lists(st.integers(min_value=1, max_value=9), min_size=6, max_size=6))
     def test_mul_single_level_is_identity(self, n, table):

@@ -1,0 +1,61 @@
+"""The benchmark tracer still finds every binding it wraps.
+
+``bench/tracer.py`` replaces functions at the names the package modules
+call them by; a renamed or removed binding would otherwise surface only
+in a traced benchmark run.  The check runs in a fresh interpreter,
+because installing the tracer rebinds the package's functions.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import contextlib, io, json
+from tracer import CACHES, Tracer
+
+tracer = Tracer().install()
+import ordramsey.cli
+
+argvs = (
+    ["classify", "w^2 + 1", "--n", "2"],
+    ["bound", "w^2", "--n", "2"],
+    ["types", "strict", "--n", "2", "--m", "2", "--count-only"],
+    ["witness", "strict", "--n", "1", "--m", "2", "--sizes", "1"],
+)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [ordramsey.cli.main(argv) for argv in argvs]
+summary = tracer.summary()
+print(json.dumps({
+    "codes": codes,
+    "spans": sorted(summary["spans"]),
+    "caches": sorted(summary["caches"]),
+    "cache_names": sorted(name for name, _, _ in CACHES),
+}))
+"""
+
+
+def test_tracer_installs_and_cli_calls_through_wrappers():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0, 0, 0, 0]
+    assert got["caches"] == got["cache_names"]
+    # the CLI's handlers and family tables reach each wrapped name
+    for span in (
+        "ordinal.parse",
+        "degrees.classify",
+        "degrees.pipeline_bound",
+        "typecalc.enum_strict",
+        "witness.realized_colors",
+    ):
+        assert span in got["spans"]

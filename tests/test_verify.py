@@ -84,14 +84,14 @@ class TestCheckSuites:
         assert report.ok and not report.flagged
 
     def test_roundtrips_small(self):
-        report = check_roundtrips(2, 2, 2)
+        report = check_roundtrips()
         assert report.ok
         by_name = {e.name: e for e in report.entries if "roundtrip" in e.name}
         assert by_name["mult-roundtrip"].params["checked"] > 0
         assert by_name["power-roundtrip"].actual == 0
 
     def test_type_counts_flags_are_the_known_ones(self):
-        report = check_type_counts(3, 3, 3)
+        report = check_type_counts()
         assert report.ok
         flagged = {
             e.params["parts"]: (e.actual, e.expected) for e in report.flagged

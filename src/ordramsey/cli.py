@@ -165,6 +165,8 @@ def _cmd_types(args) -> int:
 
 def _cmd_witness(args) -> int:
     sizes = _parse_sizes(args.sizes, "--sizes")
+    if min(sizes) < 0:
+        raise _UsageError("--sizes must be >= 0")
     make_coloring, make_instance = _WITNESSES[args.family]
     coloring = make_coloring(args)
     rows = [

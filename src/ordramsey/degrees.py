@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .ordinal import OMEGA, Ordinal
+# enum_power and out_degrees are unused here: bench/tracer.py wraps them at these names
 from .typecalc import binom, enum_power, out_degrees, rank_counts
 
 EXACT = "exact"
@@ -213,17 +214,13 @@ def bound_add(n: int, m: int, table: Sequence[int]) -> int:
 def bound_mul(n: int, m: int, table: Sequence[int]) -> int:
     """Product rule: sum of T(rank(t), a) over all (n, m)-multiplicative types.
 
-    C(m*y, n) counts the (n, m)-types whose y value blocks may be empty,
-    so inclusion-exclusion over the empty blocks counts those of rank r.
+    C(m*y, n) counts the (n, m)-types whose y value blocks may be empty.
     """
     _check_n(n)
     if m < 1:
         raise ValueError("m must be >= 1")
     _check_table(table, n)
-    return sum(
-        table[r] * sum((-1) ** i * binom(r, i) * binom(m * (r - i), n) for i in range(r + 1))
-        for r in range(n + 1)
-    )
+    return _by_rank(table, n, lambda y: binom(m * y, n))
 
 
 def product_bound(parts: Sequence[int], table: Sequence[int]) -> int:
@@ -243,13 +240,23 @@ def bound_pow(n: int, m: int, table: Sequence[int]) -> int:
     """Power rule: T(n, a^m) <= sum over (n, m)-power types of the product
     bound on their out-degree sequences.
 
-    Out-degrees across a tree sum to at most n*m, so ``table`` must cover
-    ranks that far.
+    C(y^m, n) counts the trees whose internal vertices each carry a chain
+    of y labels, as n-subsets of Power(range(y), m).  Out-degrees across a
+    tree sum to at most n*m, so ``table`` must cover ranks that far.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     _check_table(table, n * m)
-    return sum(product_bound(out_degrees(t), table) for t in enum_power(n, m))
+    return _by_rank(table, n * m, lambda y: binom(y**m, n))
+
+
+def _by_rank(table: Sequence[int], top: int, count: Callable[[int], int]) -> int:
+    """sum_{r <= top} table[r] * sum_i (-1)^i C(r, i) count(r - i), where count(y)
+    counts types over y labels, some unused: the inner sum keeps those using all r."""
+    return sum(
+        table[r] * sum((-1) ** i * binom(r, i) * count(r - i) for i in range(r + 1))
+        for r in range(top + 1)
+    )
 
 
 def _check_table(table: Sequence[int], upto: int):
@@ -273,8 +280,7 @@ def classify(a: Ordinal, n: int, cap: int = 5) -> DegreeResult:
     a below w^w through the power-of-successor pipeline; and the
     infinite / finite-without-value split at w^w and beyond.
 
-    ``cap`` guards the type enumerations underneath; n above it raises
-    :class:`ResourceCapError`.
+    n above ``cap`` raises :class:`ResourceCapError`.
     """
     _check_n(n)
     if n > cap:

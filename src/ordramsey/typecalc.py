@@ -119,22 +119,6 @@ class MultiplicativeType:
                 return level
         raise IndexError(i)
 
-    def check(self) -> "MultiplicativeType":
-        """Raise ValueError unless this is a well-formed realizable type."""
-        seen = sorted(i for b in self.blocks for i in b)
-        if seen != list(range(self.n)) or any(not b for b in self.blocks):
-            raise ValueError("blocks must partition range(n) into nonempty parts")
-        position = {i: j for j, b in enumerate(self.blocks) for i in b}
-        start = 0
-        for count in self.p:
-            level = range(start, start + count)
-            # same level means distinct values in index order, so the block
-            # positions along a level must be strictly increasing
-            if any(position[i] >= position[j] for i, j in zip(level, level[1:])):
-                raise ValueError("type is not realizable by any embedding")
-            start += count
-        return self
-
     def as_json(self) -> dict:
         return {"p": list(self.p), "blocks": [list(b) for b in self.blocks]}
 

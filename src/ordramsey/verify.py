@@ -24,7 +24,7 @@ from .chains import (
     reverse_transport,
     reverse_transport_inverse,
 )
-from .degrees import ResourceCapError, product_bound
+from .degrees import ResourceCapError, bound_pow, product_bound
 from .typecalc import (
     MultiplicativeType,
     binom,
@@ -37,6 +37,7 @@ from .typecalc import (
     mult_points,
     mult_type,
     mult_val,
+    out_degrees,
     power_type,
     power_val,
     rank_counts,
@@ -231,16 +232,17 @@ def check_type_counts() -> Report:
     return report
 
 
+def _tables(top: int):
+    """The ones and powers-of-2 base tables over ranks 0..top."""
+    return ("ones", (1,) * (top + 1)), ("powers", tuple(2**j for j in range(top + 1)))
+
+
 def check_product_bound() -> Report:
-    """The rank-count evaluation of the product rule against a literal
-    sum over the enumerated types, for two different base tables."""
+    """The rank-count product rule and the closed-form power rule (n, d <= 4)
+    against literal sums over enumerated types and trees, for two tables."""
     report = Report()
     for parts in ((1, 1), (2,), (1, 1, 1), (2, 1), (1, 2)):
-        total = sum(parts)
-        for label, table in (
-            ("ones", (1,) * (total + 1)),
-            ("powers", tuple(2**j for j in range(total + 1))),
-        ):
+        for label, table in _tables(sum(parts)):
             literal = sum(table[t.rank] for t in enum_product_types(parts))
             report.add(
                 "product-bound",
@@ -248,6 +250,11 @@ def check_product_bound() -> Report:
                 literal,
                 product_bound(parts, table),
             )
+    for n, d in itertools.product(range(1, 5), repeat=2):
+        for label, table in _tables(n * d):
+            literal = sum(product_bound(out_degrees(t), table) for t in enum_power(n, d))
+            params = {"n": n, "d": d, "table": label}
+            report.add("power-bound", params, bound_pow(n, d, table), literal)
     return report
 
 

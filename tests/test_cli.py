@@ -205,6 +205,13 @@ class TestWitness:
         assert out == ""
         assert err == "usage error: --sizes expects comma-separated integers\n"
 
+    @pytest.mark.parametrize("family", ["additive", "strict", "product"])
+    def test_negative_sizes(self, capsys, family):
+        code, out, err = run_cli(capsys, "witness", family, "--parts", "1", "--sizes", "2,-1")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("usage error:")
+
 
 class TestVerify:
     def test_small_sweep_green(self, capsys):

@@ -8,6 +8,9 @@ pipeline run guards the whole rule stack at once.
 from __future__ import annotations
 
 import json
+import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +39,7 @@ from ordramsey.degrees import (
     replay_trace,
 )
 from ordramsey.ordinal import OMEGA, Ordinal, parse
-from ordramsey.typecalc import enum_mult, enum_power, out_degrees
+from ordramsey.typecalc import binom, enum_mult, enum_power, out_degrees, rank_counts
 
 
 class TestExactFamilies:
@@ -125,10 +128,23 @@ class TestBoundRules:
     def test_pow_height_one_is_identity(self, n, table):
         assert bound_pow(n, 1, table) == table[n]
 
-    def test_pow_decomposes_over_trees(self):
-        table = tuple(2**j for j in range(7))
-        total = sum(product_bound(out_degrees(t), table) for t in enum_power(3, 2))
-        assert bound_pow(3, 2, table) == total
+    @pytest.mark.parametrize("base", [1, 2])
+    @pytest.mark.parametrize("d", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_pow_decomposes_over_trees(self, n, d, base):
+        table = tuple(base**j for j in range(n * d + 1))
+        total = sum(product_bound(out_degrees(t), table) for t in enum_power(n, d))
+        assert bound_pow(n, d, table) == total
+
+    def test_trees_count_labelled_power_subsets(self):
+        # a tree whose internal vertices each carry a chain of y labels is
+        # an n-subset of Power(range(y), d)
+        for y in range(5):
+            for d in range(1, 4):
+                for n in range(1, 5):
+                    trees = enum_power(n, d)
+                    labelled = sum(math.prod(binom(y, k) for k in out_degrees(t)) for t in trees)
+                    assert labelled == binom(y**d, n)
 
     def test_table_coverage_errors(self):
         with pytest.raises(ValueError):
@@ -195,6 +211,33 @@ class TestClassifier:
     def test_pipeline_regression(self):
         r = classify(parse("w^3*2 + w*5 + 1"), 2)
         assert (r.kind, r.value) == (UPPER_BOUND, 10751976)
+
+    def test_pipeline_enumerates_nothing(self):
+        # the power rule is a closed form: neither entry point lists trees
+        # or rank counts, so their caches see no call
+        before = enum_power.cache_info(), rank_counts.cache_info()
+        a = parse("w^3*2 + w*5 + 1")
+        classify(a, 5)
+        pipeline_bound(a, 5)
+        assert (enum_power.cache_info(), rank_counts.cache_info()) == before
+
+    def test_large_exponent_finishes(self):
+        # 40^4 trees by listing; the closed form answers well inside the timeout
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordramsey", "classify", "w^40", "--n", "5", "--json"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        blob = json.loads(proc.stdout)["result"]
+        assert blob["kind"] == UPPER_BOUND
+        steps = []
+        for s in blob["trace"]:
+            value = tuple(s["value"]) if isinstance(s["value"], list) else s["value"]
+            steps.append(TraceStep(s["rule"], s["inputs"], value))
+        result = DegreeResult(blob["kind"], blob["value"], tuple(steps))
+        assert replay_trace(result) == blob["value"]
 
     @pytest.mark.parametrize("text", ["w^w", "w^w + 1", "w^(w + 1)", "w^(w^2)"])
     def test_beyond_threshold(self, text):

@@ -112,12 +112,6 @@ class TestMultExtraction:
         assert mult_type(distinct).is_strict
         assert not mult_type(shared).is_strict
 
-    def test_realizability_check(self):
-        for t in enum_mult(3, 2):
-            t.check()
-        with pytest.raises(ValueError):
-            REF_RECON_TYPE.check()
-
 
 class TestMultReconstruction:
     def test_roundtrip_exhaustive(self):

@@ -108,7 +108,7 @@ class TestRunAll:
     def test_default_sweep_summary(self):
         report = run_all()
         assert report.ok
-        assert len(report.entries) == 136
+        assert len(report.entries) == 168
         assert len(report.flagged) == 4
         assert {e.name for e in report.flagged} == {"product-count"}
-        assert sum(e.status == OK for e in report.entries) == 132
+        assert sum(e.status == OK for e in report.entries) == 164

@@ -16,13 +16,15 @@ An :class:`Embedding` records its codomain and the image points of
 re-validate (the reconstruction procedures in :mod:`ordramsey.typecalc`
 must be able to materialize reference data verbatim); use
 :func:`check_embedding` where validity matters.
+
+The immutable records of every module derive from :class:`Record`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterator, Tuple, Union
 
 Chain = Tuple[int, ...]
@@ -40,55 +42,90 @@ def _as_chain(values) -> Chain:
     return values
 
 
-@dataclass(frozen=True)
-class SumTail:
+class Record:
+    """Immutable record whose fields are its class's ``__slots__``.
+
+    Each subclass's ``__init__`` sets every field once with
+    ``object.__setattr__``.  Records are equal when their types and fields
+    are, the hash is that of the field tuple, and the repr reads
+    ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._values(self))
+        body = ", ".join(f"{name}={value!r}" for name, value in fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class SumTail(Record):
     """A + m: base chain points, then an m-point tail after all of them."""
 
-    base: Chain
-    m: int
+    __slots__ = ("base", "m")
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", _as_chain(self.base))
-        if self.m < 0:
+    def __init__(self, base: Chain, m: int):
+        object.__setattr__(self, "base", _as_chain(base))
+        if m < 0:
             raise ValueError("tail length must be >= 0")
+        object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True)
-class Leveled:
+class Leveled(Record):
     """U_0 + ... + U_{m-1}: one finite chain per level, level-major order."""
 
-    levels: Tuple[Chain, ...]
+    __slots__ = ("levels",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(_as_chain(u) for u in self.levels))
+    def __init__(self, levels: Tuple[Chain, ...]):
+        object.__setattr__(self, "levels", tuple(_as_chain(u) for u in levels))
 
     @property
     def m(self) -> int:
         return len(self.levels)
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(Record):
     """A^m: all m-tuples over the base, antilex (last coordinate dominant)."""
 
-    base: Chain
-    m: int
+    __slots__ = ("base", "m")
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", _as_chain(self.base))
-        if self.m < 1:
+    def __init__(self, base: Chain, m: int):
+        object.__setattr__(self, "base", _as_chain(base))
+        if m < 1:
             raise ValueError("power height must be >= 1")
+        object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True)
-class Signed:
+class Signed(Record):
     """Parts in order, each a finite chain tagged '+' (as is) or '-' (reversed)."""
 
-    parts: Tuple[Tuple[Chain, str], ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
+    def __init__(self, parts: Tuple[Tuple[Chain, str], ...]):
         cleaned = []
-        for part, sign in self.parts:
+        for part, sign in parts:
             if sign not in (PLUS, MINUS):
                 raise ValueError(f"sign must be '+' or '-', got {sign!r}")
             cleaned.append((_as_chain(part), sign))
@@ -149,15 +186,14 @@ def _point_rank(codomain: Codomain) -> dict:
     return {p: i for i, p in enumerate(order_points(codomain))}
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """Images of the chain 0 < ... < n-1 inside a codomain."""
 
-    codomain: Codomain
-    images: tuple
+    __slots__ = ("codomain", "images")
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
+    def __init__(self, codomain: Codomain, images: tuple):
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "images", tuple(images))
 
     @property
     def n(self) -> int:

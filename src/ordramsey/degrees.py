@@ -16,9 +16,9 @@ each rule's statement and formula once, and both the classifier and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
+from .chains import Record
 from .ordinal import OMEGA, Ordinal
 # enum_power and out_degrees are unused here: bench/tracer.py wraps them at these names
 from .typecalc import binom, enum_power, out_degrees, rank_counts
@@ -97,16 +97,18 @@ class ResourceCapError(RuntimeError):
     """Requested computation exceeds the configured desk-scale cap."""
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
     """One rule application: its name, statement, inputs, and output.
 
     ``value`` is an int for scalar steps and a tuple for table steps.
     """
 
-    rule: str
-    inputs: dict
-    value: object = None
+    __slots__ = ("rule", "inputs", "value")
+
+    def __init__(self, rule: str, inputs: dict, value: object = None):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "value", value)
 
     @property
     def anchor(self) -> str:
@@ -122,23 +124,25 @@ class TraceStep:
         }
 
 
-@dataclass(frozen=True)
-class DegreeResult:
+class DegreeResult(Record):
     """Outcome of the calculus: kind, value when finite, and the trace."""
 
-    kind: str
-    value: Optional[int] = None
-    trace: Tuple[TraceStep, ...] = field(default_factory=tuple)
+    __slots__ = ("kind", "value", "trace")
 
-    def __post_init__(self):
-        if self.kind in (EXACT, UPPER_BOUND):
-            if not isinstance(self.value, int) or self.value < 1:
-                raise ValueError(f"{self.kind} results need a positive value")
-        elif self.kind in (INFINITE, FINITE_UNBOUNDED):
-            if self.value is not None:
-                raise ValueError(f"{self.kind} results carry no value")
+    def __init__(
+        self, kind: str, value: Optional[int] = None, trace: Tuple[TraceStep, ...] = ()
+    ):
+        if kind in (EXACT, UPPER_BOUND):
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{kind} results need a positive value")
+        elif kind in (INFINITE, FINITE_UNBOUNDED):
+            if value is not None:
+                raise ValueError(f"{kind} results carry no value")
         else:
-            raise ValueError(f"unknown result kind {self.kind!r}")
+            raise ValueError(f"unknown result kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "trace", trace)
 
     def as_json(self) -> dict:
         out = {"kind": self.kind, "trace": [s.as_json() for s in self.trace]}
@@ -253,8 +257,9 @@ def bound_pow(n: int, m: int, table: Sequence[int]) -> int:
 def _by_rank(table: Sequence[int], top: int, count: Callable[[int], int]) -> int:
     """sum_{r <= top} table[r] * sum_i (-1)^i C(r, i) count(r - i), where count(y)
     counts types over y labels, some unused: the inner sum keeps those using all r."""
+    counts = [count(y) for y in range(top + 1)]
     return sum(
-        table[r] * sum((-1) ** i * binom(r, i) * count(r - i) for i in range(r + 1))
+        table[r] * sum((-1) ** i * binom(r, i) * counts[r - i] for i in range(r + 1))
         for r in range(top + 1)
     )
 

@@ -66,6 +66,9 @@ class Ordinal:
     def __setattr__(self, name, value):
         raise AttributeError("Ordinal is immutable")
 
+    def __reduce__(self):
+        return Ordinal, (self.terms,)
+
     # -- construction ------------------------------------------------
 
     @classmethod

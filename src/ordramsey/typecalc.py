@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Dict, Iterator, Optional, Tuple
 
-from .chains import Chain, Embedding, Leveled, Power, SumTail, _as_chain
+from .chains import Chain, Embedding, Leveled, Power, Record, SumTail, _as_chain
 
 Tree = tuple  # nested tuples; a leaf is ()
 ValTuple = Tuple[Chain, ...]
@@ -60,25 +59,23 @@ def fubini(n: int) -> int:
 # -- type records ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdditiveType:
+class AdditiveType(Record):
     """Tail positions of a SumTail codomain hit by an embedding."""
 
-    m: int
-    tau: Tuple[int, ...]
+    __slots__ = ("m", "tau")
 
-    def __post_init__(self):
-        tau = tuple(sorted(set(self.tau)))
-        if tau and not (0 <= tau[0] and tau[-1] < self.m):
+    def __init__(self, m: int, tau: Tuple[int, ...]):
+        tau = tuple(sorted(set(tau)))
+        if tau and not (0 <= tau[0] and tau[-1] < m):
             raise ValueError("tail positions must lie in range(m)")
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "tau", tau)
 
     def as_json(self) -> dict:
         return {"m": self.m, "tau": list(self.tau)}
 
 
-@dataclass(frozen=True)
-class MultiplicativeType:
+class MultiplicativeType(Record):
     """Per-level counts p plus the value quasiorder as an ordered partition.
 
     ``p[l]`` counts domain indices landing on level l; index i therefore
@@ -86,14 +83,11 @@ class MultiplicativeType:
     ``blocks`` lists the classes of equal value in increasing value order.
     """
 
-    p: Tuple[int, ...]
-    blocks: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("p", "blocks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", tuple(int(x) for x in self.p))
-        object.__setattr__(
-            self, "blocks", tuple(tuple(sorted(b)) for b in self.blocks)
-        )
+    def __init__(self, p: Tuple[int, ...], blocks: Tuple[Tuple[int, ...], ...]):
+        object.__setattr__(self, "p", tuple(int(x) for x in p))
+        object.__setattr__(self, "blocks", tuple(tuple(sorted(b)) for b in blocks))
 
     @property
     def n(self) -> int:

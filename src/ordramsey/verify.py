@@ -12,7 +12,6 @@ enumerated count and a formula and does not fail the report.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import List
 
 from .chains import (
@@ -52,13 +51,13 @@ MISMATCH = "mismatch"
 FLAGGED = "flagged"
 
 
-@dataclass
 class CheckEntry:
-    name: str
-    params: dict
-    expected: object
-    actual: object
-    status: str
+    def __init__(self, name: str, params: dict, expected, actual, status: str):
+        self.name = name
+        self.params = params
+        self.expected = expected
+        self.actual = actual
+        self.status = status
 
     def line(self) -> str:
         params = " ".join(f"{k}={v}" for k, v in self.params.items())
@@ -69,9 +68,9 @@ class CheckEntry:
         return f"[{self.status}] {self.name} {params}: {detail}"
 
 
-@dataclass
 class Report:
-    entries: List[CheckEntry] = field(default_factory=list)
+    def __init__(self):
+        self.entries: List[CheckEntry] = []
 
     def add(self, name, params, expected, actual, flagged=False):
         if expected == actual:

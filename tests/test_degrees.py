@@ -24,6 +24,7 @@ from ordramsey.degrees import (
     DegreeResult,
     ResourceCapError,
     TraceStep,
+    _by_rank,
     bound_add,
     bound_mul,
     bound_pow,
@@ -135,6 +136,17 @@ class TestBoundRules:
         table = tuple(base**j for j in range(n * d + 1))
         total = sum(product_bound(out_degrees(t), table) for t in enum_power(n, d))
         assert bound_pow(n, d, table) == total
+
+    def test_by_rank_counts_each_label_size_once(self):
+        calls = []
+
+        def count(y):
+            calls.append(y)
+            return binom(y**2, 3)
+
+        table = tuple(2**j for j in range(7))
+        assert _by_rank(table, 6, count) == bound_pow(3, 2, table)
+        assert calls == list(range(7))
 
     def test_trees_count_labelled_power_subsets(self):
         # a tree whose internal vertices each carry a chain of y labels is

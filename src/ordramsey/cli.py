@@ -9,7 +9,6 @@ verification, 2 parse or usage error, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .chains import Leveled, SumTail
@@ -42,6 +41,8 @@ EXIT_RESOURCE = 3
 
 
 def _print_json(data) -> None:
+    import json  # only JSON output needs it; a module-level import costs every call
+
     print(json.dumps(data, indent=2))
 
 
@@ -158,6 +159,8 @@ def _cmd_types(args) -> int:
     elif args.json:
         _print_json(listing)
     else:
+        import json
+
         for record in listing:
             print(json.dumps(record))
     return EXIT_OK

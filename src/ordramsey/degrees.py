@@ -97,6 +97,19 @@ class ResourceCapError(RuntimeError):
     """Requested computation exceeds the configured desk-scale cap."""
 
 
+# Largest answer, in bits: 2^14000 has 4215 decimal digits, so every answer
+# below it prints under Python's default limit of 4300 digits.
+MAX_ANSWER_BITS = 14_000
+
+
+def _check_bits(bits: int):
+    """Refuse, before any computing, an answer predicted to take ``bits`` bits."""
+    if bits > MAX_ANSWER_BITS:
+        raise ResourceCapError(
+            f"the answer may need {bits} bits, over the cap of {MAX_ANSWER_BITS}"
+        )
+
+
 class TraceStep(Record):
     """One rule application: its name, statement, inputs, and output.
 
@@ -165,7 +178,13 @@ def exact_omega_plus_m(n: int, m: int) -> int:
     _check_n(n)
     if m < 0:
         raise ValueError("m must be >= 0")
-    return sum(binom(m, j) for j in range(n + 1))
+    # at most 2^m, and at most (m + 1)^n
+    _check_bits(min(m + 1, n * (m + 1).bit_length()))
+    total, term = 0, 1
+    for j in range(min(m, n) + 1):
+        total += term
+        term = term * (m - j) // (j + 1)  # C(m, j + 1) from C(m, j)
+    return total
 
 
 def exact_omega_times_m(n: int, m: int) -> int:
@@ -173,6 +192,7 @@ def exact_omega_times_m(n: int, m: int) -> int:
     _check_n(n)
     if m < 1:
         raise ValueError("m must be >= 1")
+    _check_bits(n * m.bit_length())
     return m**n
 
 
@@ -186,12 +206,14 @@ def exact_signed(n: int, signs: Sequence[str]) -> int:
     signs = tuple(signs)
     if not signs or any(s not in ("+", "-") for s in signs):
         raise ValueError("signs must be a nonempty sequence over '+'/'-'")
+    _check_bits(n * len(signs).bit_length())
     return len(signs) ** n
 
 
 def exact_integers(n: int) -> int:
     """T(n, Z) = 2^n: the integers are the two-part case w^(-) + w."""
     _check_n(n)
+    _check_bits(n * (2).bit_length())
     return 2**n
 
 
@@ -212,7 +234,8 @@ def bound_add(n: int, m: int, table: Sequence[int]) -> int:
     if m < 0:
         raise ValueError("m must be >= 0")
     _check_table(table, n)
-    return sum(binom(m, j) * table[n - j] for j in range(n + 1))
+    # C(m, j) = 0 for j > m
+    return sum(binom(m, j) * table[n - j] for j in range(min(m, n) + 1))
 
 
 def bound_mul(n: int, m: int, table: Sequence[int]) -> int:
@@ -255,13 +278,19 @@ def bound_pow(n: int, m: int, table: Sequence[int]) -> int:
 
 
 def _by_rank(table: Sequence[int], top: int, count: Callable[[int], int]) -> int:
-    """sum_{r <= top} table[r] * sum_i (-1)^i C(r, i) count(r - i), where count(y)
-    counts types over y labels, some unused: the inner sum keeps those using all r."""
-    counts = [count(y) for y in range(top + 1)]
-    return sum(
-        table[r] * sum((-1) ** i * binom(r, i) * counts[r - i] for i in range(r + 1))
-        for r in range(top + 1)
-    )
+    """sum_{r <= top} table[r] * D^r count(0), where count(y) counts types over
+    y labels, some unused, and the r-th forward difference D^r count(0) =
+    sum_i (-1)^i C(r, i) count(r - i) keeps those using all r.
+
+    One difference table gives every r: count is called once per y <= top,
+    and the rest is (top + 1)^2 / 2 subtractions.
+    """
+    row = [count(y) for y in range(top + 1)]
+    total = 0
+    for r in range(top + 1):
+        total += table[r] * row[0]
+        row = [b - a for a, b in zip(row, row[1:])]
+    return total
 
 
 def _check_table(table: Sequence[int], upto: int):
@@ -285,7 +314,8 @@ def classify(a: Ordinal, n: int, cap: int = 5) -> DegreeResult:
     a below w^w through the power-of-successor pipeline; and the
     infinite / finite-without-value split at w^w and beyond.
 
-    n above ``cap`` raises :class:`ResourceCapError`.
+    n above ``cap``, or an answer predicted to pass :data:`MAX_ANSWER_BITS`,
+    raises :class:`ResourceCapError`.
     """
     _check_n(n)
     if n > cap:
@@ -293,7 +323,9 @@ def classify(a: Ordinal, n: int, cap: int = 5) -> DegreeResult:
     if n == 0:
         return _derive(EXACT, ("zero-domain", {"alpha": str(a), "n": 0}))
     if a.is_finite:
-        return _derive(EXACT, ("finite-chain-convention", {"c": a.as_int(), "n": n}))
+        c = a.as_int()
+        _check_bits(n * c.bit_length())  # C(c, n) <= c^n
+        return _derive(EXACT, ("finite-chain-convention", {"c": c, "n": n}))
     if not a.below_omega_omega():
         # the two kinds here are also the names of their rules
         kind = INFINITE if n >= 2 else FINITE_UNBOUNDED
@@ -310,6 +342,8 @@ def classify(a: Ordinal, n: int, cap: int = 5) -> DegreeResult:
             return _derive(EXACT, ("omega-plus-m", {"m": tail, "n": n}))
         if tail == 0:
             return _derive(EXACT, ("omega-times-m", {"m": m, "n": n}))
+        # m^n * (tail + 1)^n bounds the tail rule's sum
+        _check_bits(n * (m.bit_length() + (tail + 1).bit_length()))
         return _derive(
             UPPER_BOUND,
             ("omega-times-m-table", {"m": m, "max_rank": n}),
@@ -345,15 +379,20 @@ def _pipeline(a: Ordinal, n: int):
     subsum of that expansion; a finite tail is then restored by the tail
     rule.  Tables run to rank R = n*d because the power rule consumes
     ranks up to the total out-degree of its trees.
+
+    The answer is at most (m + 1)^R * C(R^d, n) * (tail + 1)^n, which also
+    bounds every table on the way, so that size is checked before any step.
     """
     core = Ordinal(tuple((e, c) for e, c in a.terms if not e.is_zero))
     tail = a.terms[-1][1] if a.terms[-1][0].is_zero else 0
     m = max(c for _, c in core.terms)
     d = core.leading_exponent.as_int()
+    top = n * d
+    _check_bits(top * ((m + 1).bit_length() + top.bit_length()) + n * (tail + 1).bit_length())
     base = f"w*{m} + 1"
     steps = [
-        ("omega-times-m-table", {"m": m, "max_rank": n * d}),
-        ("bound-add", {"m": 1, "max_rank": n * d}),
+        ("omega-times-m-table", {"m": m, "max_rank": top}),
+        ("bound-add", {"m": 1, "max_rank": top}),
         ("bound-pow", {"d": d, "max_rank": n}),
         ("subsum", {"core": str(core), "power_base": base, "exponent": d, "n": n}),
     ]

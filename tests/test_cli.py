@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from ordramsey.cli import EXIT_FAILED, EXIT_OK, EXIT_PARSE, EXIT_RESOURCE, main
+from ordramsey.degrees import MAX_ANSWER_BITS
 from ordramsey.ordinal import MAX_NESTING
 
 
@@ -76,6 +78,54 @@ class TestClassify:
         code, _, err = run_cli(capsys, "classify", "w^2", "--n", "9")
         assert code == EXIT_RESOURCE
         assert err.startswith("resource cap:")
+
+
+NINES = "9" * 1200
+
+TOO_LARGE = [
+    ("classify", f"w^2*{NINES}", "--n", "5"),
+    ("classify", f"w*{NINES} + 3", "--n", "5", "--json"),
+    ("classify", NINES, "--n", "5"),
+    ("classify", "w^400", "--n", "5"),
+    ("bound", "w^400", "--n", "5"),
+    ("exact", "omega*m", "--n", "5000", "--m", "9"),
+    ("exact", "omega*m", "--n", "1000000000", "--m", "9"),
+    ("exact", "omega+m", "--n", "1000000000", "--m", "1000000000"),
+    ("exact", "Z", "--n", "7001"),
+    ("exact", "signed", "--n", "1000000000", "--signs", "+-"),
+]
+
+
+class TestAnswerCap:
+    @pytest.mark.parametrize("argv", TOO_LARGE, ids=lambda argv: " ".join(argv)[:40])
+    def test_too_large_answer_is_a_resource_cap(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert err.startswith("resource cap:")
+
+    @pytest.mark.parametrize(
+        "argv,value",
+        [
+            # 15^3500 is predicted at exactly the cap and has 4117 digits
+            (("exact", "omega*m", "--n", "3500", "--m", "15"), 15**3500),
+            (("classify", "w*15", "--n", "3500", "--cap", "3500"), 15**3500),
+            # predicted at 14000 bits, while n = 7001 is refused
+            (("exact", "Z", "--n", "7000"), 2**7000),
+            # the largest answer the cap admits: 2^13999, 4215 digits
+            (("exact", "omega+m", "--n", "13999", "--m", "13999"), 2 ** (MAX_ANSWER_BITS - 1)),
+        ],
+    )
+    def test_answer_under_the_cap_prints(self, capsys, argv, value):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert out.splitlines()[0].endswith(f"= {value}")
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == EXIT_OK
+        model = json.loads(out)
+        assert model.get("value", model.get("result", {}).get("value")) == value
 
 
 class TestBound:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import subprocess
 import sys
 
@@ -60,6 +61,11 @@ class TestExactFamilies:
         if n >= m:
             assert exact_omega_plus_m(n, m) == 2**m
 
+    def test_omega_plus_m_matches_full_sum(self):
+        for n in range(9):
+            for m in range(9):
+                assert exact_omega_plus_m(n, m) == sum(binom(m, j) for j in range(n + 1))
+
     @pytest.mark.parametrize("n,m", [(0, 3), (2, 1), (2, 3), (4, 2)])
     def test_omega_times_m(self, n, m):
         assert exact_omega_times_m(n, m) == m**n
@@ -83,10 +89,34 @@ class TestExactFamilies:
             exact_signed(2, "")
 
 
+def by_rank_double_sum(table, top, count):
+    """The inclusion-exclusion sum over ranks, written out literally."""
+    return sum(
+        table[r] * sum((-1) ** i * binom(r, i) * count(r - i) for i in range(r + 1))
+        for r in range(top + 1)
+    )
+
+
+def random_table(rng, top):
+    """A monotone table starting at 1, like every degree table."""
+    table = [1]
+    for _ in range(top):
+        table.append(table[-1] + rng.randrange(5))
+    return tuple(table)
+
+
 class TestBoundRules:
     def test_add_frozen(self):
         # C(3,0)*4 + C(3,1)*2 + C(3,2)*1 = 13
         assert bound_add(2, 3, (1, 2, 4)) == 13
+
+    def test_add_matches_full_sum(self):
+        # the terms with j > m vanish, so m < n sums fewer of them
+        table = (1, 3, 4, 9, 10, 25, 31)
+        for n in range(7):
+            for m in range(7):
+                full = sum(binom(m, j) * table[n - j] for j in range(n + 1))
+                assert bound_add(n, m, table) == full
 
     @given(st.integers(min_value=0, max_value=5), st.lists(st.integers(min_value=1, max_value=9), min_size=6, max_size=6))
     def test_add_empty_tail_is_identity(self, n, table):
@@ -147,6 +177,36 @@ class TestBoundRules:
         table = tuple(2**j for j in range(7))
         assert _by_rank(table, 6, count) == bound_pow(3, 2, table)
         assert calls == list(range(7))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=14).flatmap(
+            lambda top: st.tuples(
+                st.lists(st.integers(-50, 50), min_size=top + 1, max_size=top + 1),
+                st.lists(st.integers(-(10**30), 10**30), min_size=top + 1, max_size=top + 1),
+            )
+        )
+    )
+    def test_by_rank_matches_double_sum(self, lists):
+        # forward differences equal the inclusion-exclusion sum for any sequence
+        table, counts = lists
+        top = len(table) - 1
+        assert _by_rank(table, top, counts.__getitem__) == by_rank_double_sum(
+            table, top, counts.__getitem__
+        )
+
+    def test_pow_composes_over_exponent_products(self):
+        # Power(range(y), d1*d2) is Power(Power(range(y), d1), d2)
+        rng = random.Random(1904)
+        for n in range(1, 5):
+            for d1 in range(1, 4):
+                for d2 in range(1, 4):
+                    for _ in range(3):
+                        table = random_table(rng, n * d1 * d2)
+                        inner = (1,) + tuple(
+                            bound_pow(j, d1, table) for j in range(1, n * d2 + 1)
+                        )
+                        assert bound_pow(n, d1 * d2, table) == bound_pow(n, d2, inner)
 
     def test_trees_count_labelled_power_subsets(self):
         # a tree whose internal vertices each carry a chain of y labels is
@@ -264,6 +324,23 @@ class TestClassifier:
         with pytest.raises(ResourceCapError):
             classify(parse("w^2"), 6)
         assert classify(parse("w^2"), 6, cap=6).kind == UPPER_BOUND
+
+    @pytest.mark.parametrize("text", ["w^2*3 + w + 4", "w^3 + w^2*5", "w^4*2 + 1", "w^6"])
+    def test_pipeline_size_prediction_bounds_the_answer(self, text):
+        # (m + 1)^(n*d) * C((n*d)^d, n) * (tail + 1)^n bounds every value
+        a = parse(text)
+        m = max(c for e, c in a.terms if not e.is_zero)
+        d = a.leading_exponent.as_int()
+        tail = a.terms[-1][1] if a.terms[-1][0].is_zero else 0
+        for n in range(1, 5):
+            top = n * d
+            bound = (m + 1) ** top * binom(top**d, n) * (tail + 1) ** n
+            predicted = top * ((m + 1).bit_length() + top.bit_length()) + n * (tail + 1).bit_length()
+            result = pipeline_bound(a, n)
+            assert result.value <= bound and bound.bit_length() <= predicted
+            for step in result.trace:
+                if isinstance(step.value, tuple):
+                    assert max(step.value) <= bound
 
     def test_every_result_replays(self):
         inputs = ["0", "3", "w", "w + 2", "w*3", "w*2 + 1", "w^2", "w^2*2 + w + 3", "w^w"]

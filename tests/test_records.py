@@ -98,8 +98,9 @@ def test_trace_step_with_dict_inputs_stays_unhashable():
 
 
 def test_import_leaves_out_heavy_stdlib_modules():
-    # dataclasses pulls these in; one stray import would cost every CLI call
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    # dataclasses pulls in the first five, and only JSON output needs json;
+    # one stray import would cost every CLI call
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json")
     code = (
         "import ordramsey, ordramsey.cli, sys; "
         f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"

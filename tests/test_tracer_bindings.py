@@ -55,6 +55,7 @@ def test_tracer_installs_and_cli_calls_through_wrappers():
         "ordinal.parse",
         "degrees.classify",
         "degrees.pipeline_bound",
+        "degrees.bound_add",
         "degrees.bound_pow",
         "typecalc.enum_strict",
         "witness.realized_colors",

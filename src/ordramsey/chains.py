@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, ge
 from typing import Iterator, Tuple, Union
 
 Chain = Tuple[int, ...]
@@ -34,10 +34,10 @@ MINUS = "-"
 
 
 def _as_chain(values) -> Chain:
-    values = tuple(int(v) for v in values)
-    if any(v < 0 for v in values):
+    values = tuple(map(int, values))
+    if values and min(values) < 0:
         raise ValueError("chain labels must be natural numbers")
-    if any(a >= b for a, b in zip(values, values[1:])):
+    if any(map(ge, values, values[1:])):
         raise ValueError("chain labels must be strictly increasing")
     return values
 

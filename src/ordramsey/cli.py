@@ -9,12 +9,20 @@ verification, 2 parse or usage error, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .chains import Leveled, SumTail
 from .degrees import (
+    MAX_LISTED,
     ResourceCapError,
+    check_cap,
     classify,
+    count_additive,
+    count_mult,
+    count_power,
+    count_product,
+    count_strict,
     exact_integers,
     exact_omega,
     exact_omega_plus_m,
@@ -24,6 +32,8 @@ from .degrees import (
 )
 from .ordinal import OrdinalSyntaxError, parse
 from .typecalc import (
+    binom,
+    check_word_levels,
     enum_additive,
     enum_mult,
     enum_power,
@@ -85,6 +95,21 @@ def _tree_json(tree):
     return [_tree_json(child) for child in tree]
 
 
+def _strict_records(n, m):
+    """m^n strict records; each carries its word, so m must fit in digits."""
+    count = count_strict(n, m)
+    check_word_levels(m)
+    return count
+
+
+def _subsets(size: int, n: int) -> int:
+    """min(C(size, n), 2^64), without computing a huge C(size, n): it is at
+    least 2^k for k = min(n, size - n), so k >= 64 is past every cap."""
+    if min(n, size - n) >= 64:
+        return 1 << 64
+    return min(binom(size, n), 1 << 64)
+
+
 # The family tables hold lambdas rather than the functions they call, so
 # each call looks the name up on this module: a function rebound there
 # after import (as a tracer does) is the one that runs.
@@ -101,30 +126,54 @@ _EXACT = {
     ),
 }
 
-# type family -> its JSON records for the parsed arguments
+# type family -> (its JSON records, how many there are in closed form) for
+# the parsed arguments
 _TYPES = {
-    "additive": lambda args: [t.as_json() for t in enum_additive(*_n_m(args))],
-    "mult": lambda args: [t.as_json() for t in enum_mult(*_n_m(args))],
-    "strict": lambda args: [
-        dict(t.as_json(), word=strict_to_word(t)) for t in enum_strict(*_n_m(args))
-    ],
-    "power": lambda args: [_tree_json(t) for t in enum_power(*_n_m(args))],
-    "product": lambda args: [t.as_json() for t in enum_product_types(_parts(args))],
+    "additive": (
+        lambda args: [t.as_json() for t in enum_additive(*_n_m(args))],
+        lambda args: count_additive(*_n_m(args)),
+    ),
+    "mult": (
+        lambda args: [t.as_json() for t in enum_mult(*_n_m(args))],
+        lambda args: count_mult(*_n_m(args)),
+    ),
+    "strict": (
+        lambda args: [
+            dict(t.as_json(), word=strict_to_word(t)) for t in enum_strict(*_n_m(args))
+        ],
+        lambda args: _strict_records(*_n_m(args)),
+    ),
+    "power": (
+        lambda args: [_tree_json(t) for t in enum_power(*_n_m(args))],
+        lambda args: count_power(*_n_m(args)),
+    ),
+    "product": (
+        lambda args: [t.as_json() for t in enum_product_types(_parts(args))],
+        lambda args: count_product(_parts(args)),
+    ),
 }
 
-# witness family -> (coloring for the parsed arguments, instance of one size)
+# witness family -> (coloring, instance of one size, palette size, embeddings
+# of an instance of one size) for the parsed arguments; the sizes come in
+# closed form, so they bound a report before it lists anything
 _WITNESSES = {
     "additive": (
         lambda args: AdditiveWitness(args.n, args.m),
         lambda args, u: SumTail(tuple(range(u)), args.m),
+        lambda args: count_additive(args.n, args.m),
+        lambda args, u: _subsets(u + args.m, args.n),
     ),
     "strict": (
         lambda args: StrictWitness(args.n, args.m),
         lambda args, per_level: Leveled(spread(tuple(range(per_level * args.m)), args.m)),
+        lambda args: count_strict(args.n, args.m),
+        lambda args, per_level: _subsets(per_level * args.m, args.n),
     ),
     "product": (
         lambda args: ProductWitness(_parts(args)),
         lambda args, u: tuple(range(u)),
+        lambda args: count_product(_parts(args)),
+        lambda args, u: math.prod(_subsets(u, k) for k in _parts(args)),
     ),
 }
 
@@ -153,10 +202,12 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_types(args) -> int:
-    listing = _TYPES[args.family](args)
+    listing, count = _TYPES[args.family]
     if args.count_only:
-        print(len(listing))
-    elif args.json:
+        print(count(args))
+        return EXIT_OK
+    listing = listing(args)
+    if args.json:
         _print_json(listing)
     else:
         import json
@@ -170,7 +221,9 @@ def _cmd_witness(args) -> int:
     sizes = _parse_sizes(args.sizes, "--sizes")
     if min(sizes) < 0:
         raise _UsageError("--sizes must be >= 0")
-    make_coloring, make_instance = _WITNESSES[args.family]
+    make_coloring, make_instance, palette, embeddings = _WITNESSES[args.family]
+    listed = palette(args) + sum(embeddings(args, u) for u in sizes)
+    check_cap(listed, MAX_LISTED, "listed objects")
     coloring = make_coloring(args)
     rows = [
         (str(u), coloring.palette, sorted(realized_colors(coloring, make_instance(args, u))))

@@ -100,14 +100,23 @@ class ResourceCapError(RuntimeError):
 # Largest answer, in bits: 2^14000 has 4215 decimal digits, so every answer
 # below it prints under Python's default limit of 4300 digits.
 MAX_ANSWER_BITS = 14_000
+# Most big-integer steps a closed form may take, about a second's work:
+# classify 'w^214' --n 5 needs about 1.26e6 for the power rule.
+MAX_STEPS = 2_000_000
+# Most objects a witness report may list: its palette's types plus the
+# embeddings of every instance, a few seconds' work.
+MAX_LISTED = 100_000
+
+
+def check_cap(amount: int, cap: int, what: str):
+    """Refuse, before any computing, a request predicted to need ``amount``
+    of ``what`` when that passes ``cap``."""
+    if amount > cap:
+        raise ResourceCapError(f"the request may need {amount} {what}, over the cap of {cap}")
 
 
 def _check_bits(bits: int):
-    """Refuse, before any computing, an answer predicted to take ``bits`` bits."""
-    if bits > MAX_ANSWER_BITS:
-        raise ResourceCapError(
-            f"the answer may need {bits} bits, over the cap of {MAX_ANSWER_BITS}"
-        )
+    check_cap(bits, MAX_ANSWER_BITS, "bits of answer")
 
 
 class TraceStep(Record):
@@ -220,6 +229,65 @@ def exact_integers(n: int) -> int:
 def _check_n(n: int):
     if n < 0:
         raise ValueError("n must be >= 0")
+
+
+# -- type counts -----------------------------------------------------
+#
+# How many types each typecalc enumerator lists, in closed form and refusing
+# the same arguments with the same messages, so counting lists nothing.
+
+
+def count_additive(n: int, m: int) -> int:
+    """len(enum_additive(n, m)): tail sets of at most n of m positions."""
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be >= 0")
+    return exact_omega_plus_m(n, m)
+
+
+def count_strict(n: int, m: int) -> int:
+    """len(enum_strict(n, m)) = m^n, one type per word."""
+    if n < 0 or m < 1:
+        raise ValueError("need n >= 0 and m >= 1")
+    return exact_omega_times_m(n, m)
+
+
+def count_power(n: int, m: int) -> int:
+    """len(enum_power(n, m)) = m^(n - 1): each two neighbouring leaves part
+    at one of the m depths."""
+    if n < 1 or m < 0:
+        raise ValueError("need n >= 1 and m >= 0")
+    _check_bits((n - 1) * m.bit_length())
+    return m ** (n - 1)
+
+
+def count_mult(n: int, m: int) -> int:
+    """len(enum_mult(n, m)): the product rule over an all-ones table.
+
+    A type using r values is one of C(m*r, n), so there are at most
+    (n + 1) * (m*n)^n in all.
+    """
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be >= 0")
+    if m == 0:
+        return int(n == 0)
+    _check_bits(n * (m * n).bit_length() + (n + 1).bit_length())
+    return bound_mul(n, m, (1,) * (n + 1))
+
+
+def count_product(parts: Sequence[int]) -> int:
+    """len(enum_product_types(parts)): the sum over rank_counts.
+
+    A rank-r type is one of prod_l C(r, parts[l]), so with N = sum(parts)
+    there are at most N^(N + 1); rank_counts takes about N^2 * len(parts) / 2
+    products.
+    """
+    parts = tuple(map(int, parts))
+    if not parts or any(x < 1 for x in parts):
+        raise ValueError("parts must be a nonempty tuple of positive sizes")
+    total = sum(parts)
+    _check_bits((total + 1) * total.bit_length())
+    check_cap(total * total * len(parts) // 2, MAX_STEPS, "big-integer products")
+    return product_bound(parts, (1,) * (total + 1))
 
 
 # -- bound rules -----------------------------------------------------
@@ -382,6 +450,8 @@ def _pipeline(a: Ordinal, n: int):
 
     The answer is at most (m + 1)^R * C(R^d, n) * (tail + 1)^n, which also
     bounds every table on the way, so that size is checked before any step.
+    So is the power rule's work: one difference table per rank j <= n, of
+    about (j*d)^2 / 2 subtractions.
     """
     core = Ordinal(tuple((e, c) for e, c in a.terms if not e.is_zero))
     tail = a.terms[-1][1] if a.terms[-1][0].is_zero else 0
@@ -389,6 +459,8 @@ def _pipeline(a: Ordinal, n: int):
     d = core.leading_exponent.as_int()
     top = n * d
     _check_bits(top * ((m + 1).bit_length() + top.bit_length()) + n * (tail + 1).bit_length())
+    # sum_{j <= n} (j*d)^2 / 2
+    check_cap(d * d * n * (n + 1) * (2 * n + 1) // 12, MAX_STEPS, "power-rule subtractions")
     base = f"w*{m} + 1"
     steps = [
         ("omega-times-m-table", {"m": m, "max_rank": top}),

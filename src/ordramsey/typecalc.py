@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import itemgetter
 from typing import Dict, Iterator, Optional, Tuple
 
 from .chains import Chain, Embedding, Leveled, Power, Record, SumTail, _as_chain
@@ -86,8 +85,8 @@ class MultiplicativeType(Record):
     __slots__ = ("p", "blocks")
 
     def __init__(self, p: Tuple[int, ...], blocks: Tuple[Tuple[int, ...], ...]):
-        object.__setattr__(self, "p", tuple(int(x) for x in p))
-        object.__setattr__(self, "blocks", tuple(tuple(sorted(b)) for b in blocks))
+        object.__setattr__(self, "p", tuple(map(int, p)))
+        object.__setattr__(self, "blocks", tuple(map(tuple, map(sorted, blocks))))
 
     @property
     def n(self) -> int:
@@ -266,13 +265,16 @@ def _strict_from_letters(letters: Tuple[int, ...], m: int) -> MultiplicativeType
     p = [0] * m
     for letter in letters:
         p[letter] += 1
-    starts = [sum(p[:l]) for l in range(m)]
-    used = [0] * m
-    chain = []
+    # the next free index on each level, starting where the level starts
+    free, start = [], 0
+    for count in p:
+        free.append(start)
+        start += count
+    blocks = []
     for letter in letters:
-        chain.append(starts[letter] + used[letter])
-        used[letter] += 1
-    return MultiplicativeType(tuple(p), tuple((i,) for i in chain))
+        blocks.append((free[letter],))
+        free[letter] += 1
+    return MultiplicativeType(p, blocks)
 
 
 @lru_cache(maxsize=None)
@@ -320,36 +322,32 @@ def rank_counts(parts: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
     return tuple(out)
 
 
+def check_word_levels(m: int):
+    """Words spell levels as single digits, so they need m <= 10."""
+    if m > 10:
+        raise ValueError("digit words need at most 10 levels")
+
+
 def strict_to_word(t: MultiplicativeType) -> str:
     """The word of a strict type: levels read along the value order."""
     if not t.is_strict:
         raise ValueError("only strict types have words")
-    if t.m > 10:
-        raise ValueError("digit words need at most 10 levels")
-    return "".join(str(t.level_of(block[0])) for block in t.blocks)
+    check_word_levels(t.m)
+    levels = "".join(str(level) * count for level, count in enumerate(t.p))
+    return "".join([levels[i] for (i,) in t.blocks])
 
 
 def word_to_strict(word: str, m: int) -> MultiplicativeType:
     """Inverse of :func:`strict_to_word` for words over alphabet m."""
     if m < 1 or m > 10:
         raise ValueError("alphabet size must be between 1 and 10")
-    letters = tuple(int(ch) for ch in word)
-    if any(letter >= m for letter in letters):
+    letters = tuple(map(int, word))
+    if letters and max(letters) >= m:
         raise ValueError("word letter out of range")
     return _strict_from_letters(letters, m)
 
 
 # -- power calculus --------------------------------------------------
-
-
-def _labeled_tree(images: tuple, depth: int) -> tuple:
-    """Children of a suffix-group node as (label, subtree) pairs."""
-    if depth == 0:
-        return ()
-    kids = []
-    for label, group in itertools.groupby(images, key=itemgetter(depth - 1)):
-        kids.append((label, _labeled_tree(tuple(group), depth - 1)))
-    return tuple(kids)
 
 
 def _require_power(f: Embedding) -> Power:
@@ -358,33 +356,54 @@ def _require_power(f: Embedding) -> Power:
     return f.codomain
 
 
+def _suffix_levels(f: Embedding) -> list:
+    """Per depth 0..m-1, the child label chains of that depth's vertices,
+    left to right.
+
+    One pass over the images: an image sharing its last k coordinates with
+    the image before it adds a child to the open depth-k vertex and opens a
+    new vertex at every depth below that; the first image opens one at
+    every depth, and a repeat (k = m) adds nothing.
+    """
+    m = _require_power(f).m
+    levels = [[] for _ in range(m)]
+    prev = None
+    for image in f.images:
+        k = 0
+        if prev is not None:
+            while k < m and image[m - 1 - k] == prev[m - 1 - k]:
+                k += 1
+            if k == m:
+                continue
+            levels[k][-1].append(image[m - 1 - k])
+            k += 1
+        for depth in range(k, m):
+            levels[depth].append([image[m - 1 - depth]])
+        prev = image
+    return levels
+
+
 def power_type(f: Embedding) -> Tree:
     """The suffix tree shape of an embedding into Power.
 
     Vertices at depth d group images sharing their last d coordinates;
     out-degree-1 vertices are kept, so every leaf sits at depth m.
     """
-    codomain = _require_power(f)
-    labeled = _labeled_tree(f.images, codomain.m)
-    return _shape(labeled)
-
-
-def _shape(labeled: tuple) -> Tree:
-    return tuple(_shape(child) for _, child in labeled)
+    levels = _suffix_levels(f)
+    # bottom-up: each vertex takes the next len(chain) subtrees of the row below
+    row = [()] * sum(map(len, levels[-1]))
+    for chains in reversed(levels):
+        below, row, start = row, [], 0
+        for chain in chains:
+            row.append(tuple(below[start : start + len(chain)]))
+            start += len(chain)
+    return row[0] if row else ()
 
 
 def power_val(f: Embedding) -> ValTuple:
     """Child label chains of every internal vertex, top to bottom then left
-    to right."""
-    codomain = _require_power(f)
-    labeled = _labeled_tree(f.images, codomain.m)
-    out = []
-    queue = [labeled]
-    while queue:
-        node = queue.pop(0)
-        out.append(tuple(label for label, _ in node))
-        queue.extend(child for _, child in node if child != ())
-    return tuple(out)
+    to right; () for an embedding with no images."""
+    return tuple(tuple(chain) for chains in _suffix_levels(f) for chain in chains)
 
 
 def internal_nodes(tree: Tree) -> tuple:
@@ -392,15 +411,12 @@ def internal_nodes(tree: Tree) -> tuple:
     that :func:`power_val` uses, each as (path, node)."""
     if tree == ():
         return ()
-    out = []
     queue = [((), tree)]
-    while queue:
-        path, node = queue.pop(0)
-        out.append((path, node))
+    for path, node in queue:
         queue.extend(
             (path + (i,), child) for i, child in enumerate(node) if child != ()
         )
-    return tuple(out)
+    return tuple(queue)
 
 
 def out_degrees(tree: Tree) -> Tuple[int, ...]:
@@ -427,33 +443,42 @@ def reconstruct_power(
 
     The i-th chain labels the children of the i-th internal vertex in
     :func:`internal_nodes` order and must match its out-degree.  Default
-    codomain uses all labels as the base and the tree height.
+    codomain uses all labels as the base and the tree height, so the empty
+    embedding (t = v = ()) needs its codomain passed.
     """
-    nodes = internal_nodes(t)
+    # internal vertices in internal_nodes order, where the internal children
+    # of each take consecutive places, starting at first[i] for vertex i
+    nodes, first = ([] if t == () else [t]), []
+    for node in nodes:
+        first.append(len(nodes))
+        nodes.extend(child for child in node if child != ())
     if len(v) != len(nodes):
         raise ValueError(
             f"got {len(v)} chains for {len(nodes)} internal vertices"
         )
-    chain_at = {}
-    for (path, node), chain in zip(nodes, v):
+    chains = []
+    for i, (node, chain) in enumerate(zip(nodes, v)):
         chain = _as_chain(chain)
         if len(chain) != len(node):
+            path = internal_nodes(t)[i][0]
             raise ValueError(
                 f"chain {chain} does not fit out-degree {len(node)} at {path}"
             )
-        chain_at[path] = chain
+        chains.append(chain)
 
     images = []
 
-    def walk(node: Tree, path: tuple, above: tuple):
-        chain = chain_at[path]
-        for i, (label, child) in enumerate(zip(chain, node)):
+    def walk(i: int, above: tuple):
+        below = first[i]
+        for label, child in zip(chains[i], nodes[i]):
             if child == ():
                 images.append((label, *above))
             else:
-                walk(child, path + (i,), (label, *above))
+                walk(below, (label, *above))
+                below += 1
 
-    walk(t, (), ())
+    if nodes:
+        walk(0, ())
     if codomain is None:
         base = tuple(sorted({x for img in images for x in img}))
         codomain = Power(base, tree_height(t))

@@ -359,10 +359,8 @@ def finite_degree_oracle(c: int, n: int, k: int) -> int:
     space = k**subchains
     if space > 300_000:
         raise ResourceCapError(f"coloring space {k}^{subchains} exceeds 300000")
-    worst = 0
-    for coloring in itertools.product(range(k), repeat=subchains):
-        worst = max(worst, len(set(coloring)))
-    return worst
+    colorings = itertools.product(range(k), repeat=subchains)
+    return max(map(len, map(set, colorings)))
 
 
 def check_finite_convention() -> Report:

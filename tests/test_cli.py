@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import subprocess
 import sys
@@ -10,8 +11,15 @@ import time
 import pytest
 
 from ordramsey.cli import EXIT_FAILED, EXIT_OK, EXIT_PARSE, EXIT_RESOURCE, main
-from ordramsey.degrees import MAX_ANSWER_BITS
-from ordramsey.ordinal import MAX_NESTING
+from ordramsey.degrees import MAX_ANSWER_BITS, ResourceCapError, _pipeline
+from ordramsey.ordinal import MAX_NESTING, parse
+from ordramsey.typecalc import (
+    enum_additive,
+    enum_mult,
+    enum_power,
+    enum_product_types,
+    enum_strict,
+)
 
 
 def run_cli(capsys, *argv):
@@ -176,7 +184,105 @@ class TestExact:
         assert json.loads(out) == {"family": "omega*m", "n": 3, "value": 8}
 
 
+TOO_MUCH_WORK = [
+    # about 8.4e7 power-rule subtractions; this took 44 s before the cap
+    ("classify", "w^2", "--n", "500", "--cap", "1000"),
+    ("bound", "w^2", "--n", "200", "--cap", "200"),
+    # C(72, 6), about 1.6e8 embeddings
+    ("witness", "strict", "--n", "6", "--m", "6", "--sizes", "12"),
+    ("witness", "strict", "--n", "12", "--m", "6", "--sizes", "1"),
+    ("witness", "additive", "--n", "1000000", "--m", "0", "--sizes", "2000000"),
+    ("witness", "additive", "--n", "2", "--m", "1000000000", "--sizes", "1"),
+    ("witness", "product", "--parts", "2,2", "--sizes", "1,100"),
+    ("witness", "product", "--parts", "1000000000", "--sizes", "1"),
+    ("types", "mult", "--n", "5000", "--m", "3", "--count-only"),
+    ("types", "product", "--parts", ",".join(["1"] * 300), "--count-only"),
+    ("types", "power", "--n", "100000", "--m", "7", "--count-only"),
+]
+
+
+class TestWorkCap:
+    @pytest.mark.parametrize("argv", TOO_MUCH_WORK, ids=lambda argv: " ".join(argv)[:40])
+    def test_too_much_work_is_a_resource_cap(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert err.startswith("resource cap:")
+
+    def test_power_rule_budget_admits_the_answer_cap(self):
+        # w^214 at n = 5 sits at the answer cap, about 1.26e6 subtractions
+        _pipeline(parse("w^214"), 5)
+        _pipeline(parse("w^2"), 140)
+        with pytest.raises(ResourceCapError):
+            _pipeline(parse("w^2"), 200)
+
+    def test_benchmark_witness_inputs_are_admitted(self, capsys):
+        for family, top in (("additive", 4), ("strict", 3)):
+            for n in range(1, 4):
+                for m in range(1, top + 1):
+                    argv = ["witness", family, "--n", str(n), "--m", str(m)]
+                    code, _, _ = run_cli(capsys, *argv, "--sizes", f"{n},{n + 1}")
+                    assert code == EXIT_OK
+        for parts in ((1, 1), (2,), (1, 1, 1), (2, 1), (1, 2), (2, 2)):
+            low = sum(parts)
+            argv = ["witness", "product", "--parts", ",".join(map(str, parts))]
+            assert run_cli(capsys, *argv, "--sizes", f"{low},{low + 1}")[0] == EXIT_OK
+
+
+ENUMERATORS = {
+    "additive": enum_additive,
+    "mult": enum_mult,
+    "strict": enum_strict,
+    "power": enum_power,
+}
+
+
 class TestTypes:
+    @pytest.mark.parametrize("family", sorted(ENUMERATORS))
+    def test_count_only_matches_enumeration(self, capsys, family):
+        for n, m in itertools.product(range(-1, 6), repeat=2):
+            argv = ("types", family, "--n", str(n), "--m", str(m), "--count-only")
+            try:
+                expected = len(ENUMERATORS[family](n, m))
+            except ValueError as exc:
+                assert run_cli(capsys, *argv) == (EXIT_PARSE, "", f"usage error: {exc}\n")
+            else:
+                assert run_cli(capsys, *argv) == (EXIT_OK, f"{expected}\n", "")
+
+    def test_product_count_only_matches_enumeration(self, capsys):
+        for size in range(1, 4):
+            for parts in itertools.product(range(4), repeat=size):
+                if sum(parts) > 6:
+                    continue
+                argv = ("types", "product", "--parts", ",".join(map(str, parts)), "--count-only")
+                try:
+                    expected = len(enum_product_types(parts))
+                except ValueError as exc:
+                    assert run_cli(capsys, *argv) == (EXIT_PARSE, "", f"usage error: {exc}\n")
+                else:
+                    assert run_cli(capsys, *argv) == (EXIT_OK, f"{expected}\n", "")
+
+    @pytest.mark.parametrize("n", ["0", "2"])
+    def test_strict_count_only_needs_digit_words(self, capsys, n):
+        # the listing's records carry words, so counting them refuses m > 10 alike
+        for count_only in ((), ("--count-only",)):
+            argv = ("types", "strict", "--n", n, "--m", "11", *count_only)
+            assert run_cli(capsys, *argv) == (
+                EXIT_PARSE,
+                "",
+                "usage error: digit words need at most 10 levels\n",
+            )
+        _, out, _ = run_cli(capsys, "types", "strict", "--n", n, "--m", "10", "--count-only")
+        assert out == f"{10 ** int(n)}\n"
+
+    def test_count_only_lists_nothing(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "types", "power", "--n", "12", "--m", "6", "--count-only")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_OK, f"{6 ** 11}\n")
+
     @pytest.mark.parametrize(
         "family,n,m,count",
         [("additive", 2, 3, 7), ("mult", 2, 2, 5), ("strict", 2, 2, 4), ("power", 3, 2, 4)],

@@ -1,0 +1,372 @@
+"""The rewritten power, strict-word and chain primitives against their
+earlier implementations.
+
+The ``ref_*`` functions below are the straightforward versions the
+package used before it grouped suffixes in one pass, validated chains
+with ``map`` and mapped strict indices to levels once.  They are kept
+verbatim, apart from their names, as oracles: every comparison requires
+the same result, or the same exception type and message.  The one
+intended difference is the empty power embedding, whose value tuple is
+now () (``ref_power_val`` gives ((),)) and which now round-trips.
+"""
+
+from __future__ import annotations
+
+import itertools
+from operator import itemgetter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ordramsey.chains import Embedding, Leveled, Power, _as_chain, enumerate_embeddings
+from ordramsey.degrees import ResourceCapError
+from ordramsey.typecalc import (
+    MultiplicativeType,
+    _require_power,
+    binom,
+    enum_power,
+    enum_strict,
+    internal_nodes,
+    mult_type,
+    power_type,
+    power_val,
+    reconstruct_power,
+    strict_to_word,
+    tree_height,
+    word_to_strict,
+)
+from ordramsey.verify import finite_degree_oracle
+
+# -- the earlier implementations, verbatim -----------------------------
+
+
+def ref_as_chain(values):
+    values = tuple(int(v) for v in values)
+    if any(v < 0 for v in values):
+        raise ValueError("chain labels must be natural numbers")
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise ValueError("chain labels must be strictly increasing")
+    return values
+
+
+def ref_labeled_tree(images: tuple, depth: int) -> tuple:
+    """Children of a suffix-group node as (label, subtree) pairs."""
+    if depth == 0:
+        return ()
+    kids = []
+    for label, group in itertools.groupby(images, key=itemgetter(depth - 1)):
+        kids.append((label, ref_labeled_tree(tuple(group), depth - 1)))
+    return tuple(kids)
+
+
+def ref_power_type(f):
+    codomain = _require_power(f)
+    labeled = ref_labeled_tree(f.images, codomain.m)
+    return ref_shape(labeled)
+
+
+def ref_shape(labeled: tuple):
+    return tuple(ref_shape(child) for _, child in labeled)
+
+
+def ref_power_val(f):
+    codomain = _require_power(f)
+    labeled = ref_labeled_tree(f.images, codomain.m)
+    out = []
+    queue = [labeled]
+    while queue:
+        node = queue.pop(0)
+        out.append(tuple(label for label, _ in node))
+        queue.extend(child for _, child in node if child != ())
+    return tuple(out)
+
+
+def ref_internal_nodes(tree) -> tuple:
+    if tree == ():
+        return ()
+    out = []
+    queue = [((), tree)]
+    while queue:
+        path, node = queue.pop(0)
+        out.append((path, node))
+        queue.extend(
+            (path + (i,), child) for i, child in enumerate(node) if child != ()
+        )
+    return tuple(out)
+
+
+def ref_reconstruct_power(t, v, codomain=None):
+    nodes = ref_internal_nodes(t)
+    if len(v) != len(nodes):
+        raise ValueError(
+            f"got {len(v)} chains for {len(nodes)} internal vertices"
+        )
+    chain_at = {}
+    for (path, node), chain in zip(nodes, v):
+        chain = ref_as_chain(chain)
+        if len(chain) != len(node):
+            raise ValueError(
+                f"chain {chain} does not fit out-degree {len(node)} at {path}"
+            )
+        chain_at[path] = chain
+
+    images = []
+
+    def walk(node, path: tuple, above: tuple):
+        chain = chain_at[path]
+        for i, (label, child) in enumerate(zip(chain, node)):
+            if child == ():
+                images.append((label, *above))
+            else:
+                walk(child, path + (i,), (label, *above))
+
+    walk(t, (), ())
+    if codomain is None:
+        base = tuple(sorted({x for img in images for x in img}))
+        codomain = Power(base, tree_height(t))
+    return Embedding(codomain, tuple(images))
+
+
+def ref_strict_from_letters(letters, m):
+    p = [0] * m
+    for letter in letters:
+        p[letter] += 1
+    starts = [sum(p[:l]) for l in range(m)]
+    used = [0] * m
+    chain = []
+    for letter in letters:
+        chain.append(starts[letter] + used[letter])
+        used[letter] += 1
+    return MultiplicativeType(tuple(p), tuple((i,) for i in chain))
+
+
+def ref_strict_to_word(t):
+    if not t.is_strict:
+        raise ValueError("only strict types have words")
+    if t.m > 10:
+        raise ValueError("digit words need at most 10 levels")
+    return "".join(str(t.level_of(block[0])) for block in t.blocks)
+
+
+def ref_word_to_strict(word, m):
+    if m < 1 or m > 10:
+        raise ValueError("alphabet size must be between 1 and 10")
+    letters = tuple(int(ch) for ch in word)
+    if any(letter >= m for letter in letters):
+        raise ValueError("word letter out of range")
+    return ref_strict_from_letters(letters, m)
+
+
+def ref_finite_degree_oracle(c, n, k):
+    if not (1 <= n <= 3 and 0 <= c <= 6 and k >= 1):
+        raise ResourceCapError(f"oracle caps exceeded: c={c}, n={n}, k={k}")
+    subchains = binom(c, n)
+    space = k**subchains
+    if space > 300_000:
+        raise ResourceCapError(f"coloring space {k}^{subchains} exceeds 300000")
+    worst = 0
+    for coloring in itertools.product(range(k), repeat=subchains):
+        worst = max(worst, len(set(coloring)))
+    return worst
+
+
+def ref_mult_fields(p, blocks):
+    """The fields MultiplicativeType used to normalise its arguments to."""
+    return tuple(int(x) for x in p), tuple(tuple(sorted(b)) for b in blocks)
+
+
+# -- comparison --------------------------------------------------------
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # the comparison is over any exception
+        return "raised", type(exc), str(exc)
+
+
+def same(new, ref, *args):
+    assert outcome(new, *args) == outcome(ref, *args)
+
+
+def small_power_embeddings():
+    """Every embedding of n <= 4 points into Power(range(s), m) for s <= 4
+    and m <= 3, where there are at most 3000 of them for that (s, m, n)."""
+    for s, m in itertools.product(range(1, 5), range(1, 4)):
+        codomain = Power(tuple(range(s)), m)
+        for n in range(1, 5):
+            if binom(s**m, n) <= 3000:
+                yield from enumerate_embeddings(n, codomain)
+
+
+@st.composite
+def power_embeddings(draw):
+    s = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=1, max_value=4))
+    codomain = Power(tuple(range(s)), m)
+    points = sorted(
+        draw(st.sets(st.tuples(*[st.integers(0, s - 1)] * m), min_size=1, max_size=10)),
+        key=lambda point: point[::-1],
+    )
+    return Embedding(codomain, tuple(points))
+
+
+# trees of any shape, leaves at any depth, as reconstruct_power accepts them
+trees = st.recursive(
+    st.just(()), lambda kids: st.lists(kids, min_size=1, max_size=3).map(tuple), max_leaves=10
+)
+chains = st.lists(st.integers(min_value=-1, max_value=6), max_size=4)
+
+
+class TestPower:
+    def test_extraction_exhaustive(self):
+        count = 0
+        for f in small_power_embeddings():
+            assert power_type(f) == ref_power_type(f)
+            assert power_val(f) == ref_power_val(f)
+            count += 1
+        assert count == 8359
+
+    def test_reconstruction_exhaustive(self):
+        for f in small_power_embeddings():
+            t, v = ref_power_type(f), ref_power_val(f)
+            assert reconstruct_power(t, v, f.codomain) == ref_reconstruct_power(t, v, f.codomain)
+            assert reconstruct_power(t, v) == ref_reconstruct_power(t, v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(power_embeddings())
+    def test_extraction_random(self, f):
+        assert power_type(f) == ref_power_type(f)
+        assert power_val(f) == ref_power_val(f)
+        t, v = power_type(f), power_val(f)
+        assert reconstruct_power(t, v, f.codomain) == ref_reconstruct_power(t, v, f.codomain) == f
+
+    def test_repeated_and_unsorted_images_group_as_before(self):
+        codomain = Power((0, 1, 2), 2)
+        for images in itertools.product(((0, 0), (1, 0), (2, 1), (0, 2)), repeat=4):
+            f = Embedding(codomain, images)
+            assert power_type(f) == ref_power_type(f)
+            assert power_val(f) == ref_power_val(f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(trees, st.lists(chains, max_size=8))
+    def test_reconstruction_of_any_input(self, t, v):
+        assert internal_nodes(t) == ref_internal_nodes(t)
+        if t == ():
+            return  # the empty embedding, which the earlier version failed on
+        fitting = tuple(tuple(range(len(node))) for _, node in ref_internal_nodes(t))
+        for v in (tuple(v), fitting):
+            same(reconstruct_power, ref_reconstruct_power, t, v)
+            same(reconstruct_power, ref_reconstruct_power, t, v, Power((0, 1), 2))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_tree_listing_and_valid_label_chains(self, m):
+        for n in range(1, 5):
+            for t in enum_power(n, m):
+                assert internal_nodes(t) == ref_internal_nodes(t)
+                nodes = internal_nodes(t)
+                v = tuple(tuple(range(len(node))) for _, node in nodes)
+                assert reconstruct_power(t, v) == ref_reconstruct_power(t, v)
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            ((0, 2, 5), (0, 6), (0, 1, 3), (2, 4)),  # too few chains
+            ((0, 2),) + ((0,),) * 19,  # root chain shorter than the out-degree
+            ((0, 2, 5), (0, 6, 7)) + ((0,),) * 18,  # a second-level mismatch
+            ((2, 1, 5),) + ((0,),) * 19,  # not increasing
+            ((0, 2, 5), (-1, 6)) + ((0,),) * 18,  # not natural
+            ((0, 2, 5), ("x",)) + ((0,),) * 18,  # not a number
+            ((0, 2, 5), (0, 6), (0, 9), (0,)) + ((0,),) * 16,  # mismatch before a bad chain
+        ],
+    )
+    def test_invalid_chains_fail_alike(self, v):
+        from ordramsey.verify import REF_POWER_TREE
+
+        assert outcome(reconstruct_power, REF_POWER_TREE, v)[0] == "raised"
+        same(reconstruct_power, ref_reconstruct_power, REF_POWER_TREE, v)
+
+    def test_empty_embedding_is_the_one_difference(self):
+        f = Embedding(Power((0, 1), 2), ())
+        assert power_type(f) == ref_power_type(f) == ()
+        assert ref_power_val(f) == ((),)
+        assert power_val(f) == ()
+        with pytest.raises(KeyError):
+            ref_reconstruct_power((), (), f.codomain)
+        assert reconstruct_power((), (), f.codomain) == f
+
+
+class TestStrict:
+    def test_words_exhaustive(self):
+        for m in range(1, 5):
+            for n in range(5):
+                for letters in itertools.product(range(m), repeat=n):
+                    word = "".join(map(str, letters))
+                    t = word_to_strict(word, m)
+                    assert t == ref_word_to_strict(word, m)
+                    assert t.p == ref_strict_from_letters(letters, m).p
+                    assert strict_to_word(t) == ref_strict_to_word(t) == word
+
+    def test_enumeration(self):
+        for m in range(1, 5):
+            for n in range(5):
+                ref = tuple(
+                    ref_strict_from_letters(w, m) for w in itertools.product(range(m), repeat=n)
+                )
+                assert enum_strict(n, m) == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789", max_size=12), st.integers(min_value=-1, max_value=12))
+    def test_words_random(self, word, m):
+        # out-of-range letters and alphabet sizes fail with the same message
+        same(word_to_strict, ref_word_to_strict, word, m)
+        if 1 <= m <= 10 and all(int(ch) < m for ch in word):
+            t = word_to_strict(word, m)
+            assert strict_to_word(t) == ref_strict_to_word(t) == word
+
+    @pytest.mark.parametrize("word,m", [("x", 3), ("-1", 3), ("12", 2), ("", 0), ("", 11), ("9", 9)])
+    def test_bad_words_fail_alike(self, word, m):
+        assert outcome(word_to_strict, word, m)[0] == "raised"
+        same(word_to_strict, ref_word_to_strict, word, m)
+
+    def test_types_of_embeddings(self):
+        # non-strict types and types past ten levels fail alike
+        for m in (1, 2, 3, 11):
+            codomain = Leveled(((0, 1),) * m)
+            for n in range(4):
+                for f in enumerate_embeddings(n, codomain):
+                    same(strict_to_word, ref_strict_to_word, mult_type(f))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=4), max_size=5),
+        st.lists(st.lists(st.integers(min_value=0, max_value=9), max_size=4), max_size=4),
+    )
+    def test_type_fields_normalise_as_before(self, p, blocks):
+        t = MultiplicativeType(p, blocks)
+        assert (t.p, t.blocks) == ref_mult_fields(p, blocks)
+        t = MultiplicativeType(map(str, p), iter(map(tuple, blocks)))
+        assert (t.p, t.blocks) == ref_mult_fields(p, blocks)
+
+
+class TestChains:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=-3, max_value=8), max_size=6))
+    def test_as_chain_random(self, values):
+        same(_as_chain, ref_as_chain, values)
+        same(_as_chain, ref_as_chain, tuple(map(str, values)))
+
+    @pytest.mark.parametrize(
+        "values",
+        [(), (0,), (0, 1, 5), (3, -1), (-1, 3), (2, 2), (3, 1), (1, 2, 2), ("1", "x"), (1.5, 2), [0, 4]],
+    )
+    def test_as_chain_cases(self, values):
+        same(_as_chain, ref_as_chain, values)
+
+
+class TestOracle:
+    def test_finite_degree_oracle(self):
+        for c, n, k in itertools.product(range(8), range(5), range(5)):
+            same(finite_degree_oracle, ref_finite_degree_oracle, c, n, k)

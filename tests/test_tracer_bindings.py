@@ -26,7 +26,7 @@ import ordramsey.cli
 argvs = (
     ["classify", "w^2 + 1", "--n", "2"],
     ["bound", "w^2", "--n", "2"],
-    ["types", "strict", "--n", "2", "--m", "2", "--count-only"],
+    ["types", "strict", "--n", "2", "--m", "2"],
     ["witness", "strict", "--n", "1", "--m", "2", "--sizes", "1"],
 )
 with contextlib.redirect_stdout(io.StringIO()):

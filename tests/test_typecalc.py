@@ -19,6 +19,7 @@ from ordramsey.typecalc import (
     enum_product_types,
     enum_strict,
     fubini,
+    internal_nodes,
     mult_points,
     mult_type,
     mult_val,
@@ -251,6 +252,18 @@ class TestPower:
         f = Embedding(codomain, ((1, 0),))
         assert power_type(f) == (((),),)
         assert power_val(f) == ((0,), (1,))
+
+    def test_empty_embedding_roundtrips(self):
+        for m in (1, 2, 3):
+            codomain = Power((0, 1), m)
+            f = Embedding(codomain, ())
+            assert power_type(f) == ()
+            assert power_val(f) == ()
+            assert internal_nodes(()) == ()
+            assert reconstruct_power((), (), codomain) == f
+        # with no labels and no height there is no codomain to default to
+        with pytest.raises(ValueError):
+            reconstruct_power((), ())
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -32,14 +32,12 @@ from .typecalc import (
     enum_power,
     enum_product_types,
     enum_strict,
-    fubini,
     mult_type,
     mult_val,
     power_type,
     power_val,
     reconstruct_mult,
     reconstruct_power,
-    stirling2,
     strict_to_word,
     word_to_strict,
 )
@@ -96,14 +94,12 @@ __all__ = [
     "enum_power",
     "enum_product_types",
     "enum_strict",
-    "fubini",
     "mult_type",
     "mult_val",
     "power_type",
     "power_val",
     "reconstruct_mult",
     "reconstruct_power",
-    "stirling2",
     "strict_to_word",
     "word_to_strict",
     "DegreeResult",

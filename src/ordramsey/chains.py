@@ -181,11 +181,6 @@ def size(codomain: Codomain) -> int:
     raise TypeError(f"not a codomain: {codomain!r}")
 
 
-@lru_cache(maxsize=None)
-def _point_rank(codomain: Codomain) -> dict:
-    return {p: i for i, p in enumerate(order_points(codomain))}
-
-
 class Embedding(Record):
     """Images of the chain 0 < ... < n-1 inside a codomain."""
 
@@ -202,7 +197,7 @@ class Embedding(Record):
 
 def check_embedding(f: Embedding) -> Embedding:
     """Raise ValueError unless f is strictly increasing inside its codomain."""
-    rank = _point_rank(f.codomain)
+    rank = {p: i for i, p in enumerate(order_points(f.codomain))}
     last = -1
     for point in f.images:
         r = rank.get(point)

@@ -203,9 +203,11 @@ def _cmd_exact(args) -> int:
 
 def _cmd_types(args) -> int:
     listing, count = _TYPES[args.family]
+    count = count(args)
     if args.count_only:
-        print(count(args))
+        print(count)
         return EXIT_OK
+    check_cap(count, MAX_LISTED, "listed types")
     listing = listing(args)
     if args.json:
         _print_json(listing)
@@ -319,6 +321,11 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except RecursionError:
+        # listings recurse once per domain point, so a long enough domain
+        # runs out of stack before any cap on the listing's size applies
+        print("resource cap: the request recurses too deeply", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         # covers _UsageError and out-of-scope arguments alike

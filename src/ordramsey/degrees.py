@@ -278,15 +278,16 @@ def count_product(parts: Sequence[int]) -> int:
     """len(enum_product_types(parts)): the sum over rank_counts.
 
     A rank-r type is one of prod_l C(r, parts[l]), so with N = sum(parts)
-    there are at most N^(N + 1); rank_counts takes about N^2 * len(parts) / 2
-    products.
+    there are at most N^(N + 1); rank_counts takes about N * len(parts)
+    binomials and N^2 / 2 subtractions, and the cap counts
+    N^2 * len(parts) / 2 steps.
     """
     parts = tuple(map(int, parts))
     if not parts or any(x < 1 for x in parts):
         raise ValueError("parts must be a nonempty tuple of positive sizes")
     total = sum(parts)
     _check_bits((total + 1) * total.bit_length())
-    check_cap(total * total * len(parts) // 2, MAX_STEPS, "big-integer products")
+    check_cap(total * total * len(parts) // 2, MAX_STEPS, "big-integer steps")
     return product_bound(parts, (1,) * (total + 1))
 
 

@@ -38,23 +38,6 @@ def binom(m: int, j: int) -> int:
     return math.comb(m, j)
 
 
-@lru_cache(maxsize=None)
-def stirling2(n: int, j: int) -> int:
-    """Stirling numbers of the second kind S(n, j)."""
-    if n < 0 or j < 0:
-        return 0
-    if n == 0:
-        return 1 if j == 0 else 0
-    if j == 0:
-        return 0
-    return j * stirling2(n - 1, j) + stirling2(n - 1, j - 1)
-
-
-def fubini(n: int) -> int:
-    """Ordered set partitions of an n-set into >= 1 blocks: sum j! S(n, j)."""
-    return sum(math.factorial(j) * stirling2(n, j) for j in range(1, n + 1))
-
-
 # -- type records ----------------------------------------------------
 
 
@@ -245,7 +228,6 @@ def _block_sequences(p: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], ...]
     yield from rec(list(p), [0] * m, [])
 
 
-@lru_cache(maxsize=None)
 def enum_mult(n: int, m: int) -> tuple:
     """All realizable multiplicative types with |domain| = n over m levels.
 
@@ -277,7 +259,6 @@ def _strict_from_letters(letters: Tuple[int, ...], m: int) -> MultiplicativeType
     return MultiplicativeType(p, blocks)
 
 
-@lru_cache(maxsize=None)
 def enum_strict(n: int, m: int) -> tuple:
     """The m^n strict types, in lexicographic order of their words."""
     if n < 0 or m < 1:
@@ -302,23 +283,21 @@ def rank_counts(parts: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
     Counted in closed form: a rank-r type is a sequence of r nonempty
     level sets using level l exactly parts[l] times, and by inclusion and
     exclusion over empty blocks there are
-    sum_i (-1)^i C(r, i) prod_l C(r - i, parts[l]) of them.  Agreement
+    sum_i (-1)^i C(r, i) prod_l C(r - i, parts[l]) of them, the r-th
+    forward difference at 0 of prod_l C(y, parts[l]).  One difference
+    table gives every r in about sum(parts)^2 / 2 subtractions.  Agreement
     with the explicit enumeration is enforced in the verify module.
     """
     parts = tuple(sorted(parts))
     total = sum(parts)
     if total == 0:
         return ((0, 1),)
+    row = [math.prod(binom(y, x) for x in parts) for y in range(total + 1)]
     out = []
-    for r in range(1, total + 1):
-        count = 0
-        for i in range(r + 1):
-            product = (-1) ** i * binom(r, i)
-            for x in parts:
-                product *= binom(r - i, x)
-            count += product
-        if count:
-            out.append((r, count))
+    for r in range(total + 1):
+        if row[0]:
+            out.append((r, row[0]))
+        row = [b - a for a, b in zip(row, row[1:])]
     return tuple(out)
 
 
@@ -485,7 +464,6 @@ def reconstruct_power(
     return Embedding(codomain, tuple(images))
 
 
-@lru_cache(maxsize=None)
 def _positive_compositions(n: int) -> tuple:
     if n == 0:
         return ((),)
@@ -506,6 +484,10 @@ def enum_power(n: int, m: int) -> tuple:
         raise ValueError("need n >= 1 and m >= 0")
     if m == 0:
         return ((),) if n == 1 else ()
+    if m == 1:
+        # every leaf hangs off the root: listing the 2^(n - 1) compositions
+        # would find only the all-ones one
+        return (((),) * n,)
     out = []
     for comp in _positive_compositions(n):
         for kids in itertools.product(*(enum_power(c, m - 1) for c in comp)):

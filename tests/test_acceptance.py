@@ -24,6 +24,7 @@ from ordramsey.degrees import (
     bound_mul,
     bound_pow,
     classify,
+    count_product,
     exact_integers,
     exact_omega,
     exact_omega_plus_m,
@@ -38,7 +39,6 @@ from ordramsey.typecalc import (
     enum_additive,
     enum_product_types,
     enum_strict,
-    fubini,
     strict_to_word,
     word_to_strict,
 )
@@ -113,7 +113,7 @@ def test_criterion_3_worked_instances(capsys):
     """The frozen reference embeddings, reconstruction, word, and tree."""
     with criterion(capsys, 3, "worked instances reproduced bit for bit"):
         report = check_reference_instances()
-        assert report.ok and not report.flagged
+        assert report.ok
         assert len(report.entries) == 8
 
         t = word_to_strict("2302202", 4)
@@ -123,24 +123,42 @@ def test_criterion_3_worked_instances(capsys):
         assert strict_to_word(t) == "2302202"
 
 
+def ordered_bell(n):
+    """Ordered partitions of an n-set, by the recurrence over the first
+    block's size."""
+    a = [1]
+    for k in range(1, n + 1):
+        a.append(sum(math.comb(k, j) * a[k - j] for j in range(1, k + 1)))
+    return a[n]
+
+
 def test_criterion_4_counting_oracles(capsys):
-    """Counts by enumeration, with the known formula divergence flagged."""
-    with criterion(capsys, 4, "counting oracles with flagged divergence", limit=30.0):
+    """Counts by enumeration; the ordered-Bell overcount stays a fact."""
+    with criterion(capsys, 4, "counting oracles and the ordered-Bell overcount", limit=30.0):
         for n in range(6):
             for m in range(6):
                 if m >= 1:
                     assert len(enum_strict(n, m)) == m**n
                 additive = sum(math.comb(m, j) for j in range(min(n, m) + 1))
                 assert len(enum_additive(n, m)) == additive
+        assert [ordered_bell(s) for s in range(5)] == [1, 1, 3, 13, 75]
         for s in range(1, 5):
-            assert len(enum_product_types((1,) * s)) == fubini(s)
+            assert len(enum_product_types((1,) * s)) == ordered_bell(s)
+
+        # with a part above 1, ordered partitions of all N indices overcount
+        # the realizable types: indices of one part never share a block
+        overcount = {(2,): (1, 3), (2, 1): (5, 13), (3,): (1, 13), (2, 2): (13, 75)}
+        for parts, pair in overcount.items():
+            assert (len(enum_product_types(parts)), ordered_bell(sum(parts))) == pair
 
         report = check_type_counts()
-        assert report.ok  # flags never fail the suite
-        flag = next(
-            e for e in report.flagged if e.params.get("parts") == (2,)
-        )
-        assert (flag.actual, flag.expected) == (1, 3)
+        assert report.ok
+        lines = {e.params["parts"]: e for e in report.entries if e.name == "product-count"}
+        assert set(lines) == set(overcount)
+        for parts, (enumerated, _) in overcount.items():
+            entry = lines[parts]
+            assert entry.status == "ok"
+            assert entry.actual == entry.expected == count_product(parts) == enumerated
 
 
 def test_criterion_5_round_trips(capsys):

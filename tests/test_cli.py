@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import importlib.util
+import io
 import itertools
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordramsey.cli import EXIT_FAILED, EXIT_OK, EXIT_PARSE, EXIT_RESOURCE, main
 from ordramsey.degrees import MAX_ANSWER_BITS, ResourceCapError, _pipeline
@@ -20,6 +26,9 @@ from ordramsey.typecalc import (
     enum_product_types,
     enum_strict,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +207,12 @@ TOO_MUCH_WORK = [
     ("types", "mult", "--n", "5000", "--m", "3", "--count-only"),
     ("types", "product", "--parts", ",".join(["1"] * 300), "--count-only"),
     ("types", "power", "--n", "100000", "--m", "7", "--count-only"),
+    # 6^12 records to list
+    ("types", "strict", "--n", "12", "--m", "6"),
+    # one type or coloring each, but listing it recurses past the stack
+    ("types", "mult", "--n", "1100", "--m", "1"),
+    ("types", "product", "--parts", "1100"),
+    ("witness", "product", "--parts", "1100", "--sizes", "1100"),
 ]
 
 
@@ -276,6 +291,11 @@ class TestTypes:
             )
         _, out, _ = run_cli(capsys, "types", "strict", "--n", n, "--m", "10", "--count-only")
         assert out == f"{10 ** int(n)}\n"
+
+    def test_one_level_power_lists_one_tree(self, capsys):
+        code, out, err = run_cli(capsys, "types", "power", "--n", "1200", "--m", "1")
+        assert (code, err) == (EXIT_OK, "")
+        assert [json.loads(line) for line in out.splitlines()] == [[[]] * 1200]
 
     def test_count_only_lists_nothing(self, capsys):
         start = time.perf_counter()
@@ -376,6 +396,17 @@ class TestVerify:
         assert "mismatched" in out.splitlines()[-1]
         assert " 0 mismatched" in out.splitlines()[-1]
 
+    def test_output_passes_the_benchmark_check(self, capsys):
+        # the benchmark's verify requests fail unless this check accepts them
+        spec = importlib.util.spec_from_file_location(
+            "bench_reference", ROOT / "bench" / "reference.py"
+        )
+        reference = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(reference)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == EXIT_OK
+        assert reference._check_verify(out)
+
     def test_fixed_sweep_takes_no_size_flags(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n-max", "2"])
@@ -447,3 +478,27 @@ class TestEntryPoint:
         assert proc.returncode == EXIT_PARSE
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("parse error:")
+
+
+@st.composite
+def types_and_witness_argv(draw):
+    command = draw(st.sampled_from(["types", "witness"]))
+    families = ["additive", "strict", "product"] + (["mult", "power"] if command == "types" else [])
+    family = draw(st.sampled_from(families))
+    n, m = draw(st.integers(-1, 3000)), draw(st.integers(-1, 4))
+    parts = draw(st.lists(st.integers(0, 3000), max_size=3))
+    # "--flag=value", so that argparse reads "-1" as a value, not an option
+    argv = [command, family, f"--n={n}", f"--m={m}", f"--parts={','.join(map(str, parts))}"]
+    if command == "witness":
+        sizes = draw(st.lists(st.integers(-1, 3000), min_size=1, max_size=3))
+        return argv + [f"--sizes={','.join(map(str, sizes))}"]
+    return argv + draw(st.sampled_from([[], ["--count-only"], ["--json"]]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(types_and_witness_argv())
+def test_types_and_witness_end_in_an_exit_code(argv):
+    # no exception may escape; the output itself is checked elsewhere
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_RESOURCE)

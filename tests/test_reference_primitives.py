@@ -1,9 +1,11 @@
-"""The rewritten power, strict-word and chain primitives against their
-earlier implementations.
+"""The rewritten power, strict-word, chain and counting primitives against
+their earlier implementations.
 
 The ``ref_*`` functions below are the straightforward versions the
 package used before it grouped suffixes in one pass, validated chains
-with ``map`` and mapped strict indices to levels once.  They are kept
+with ``map``, mapped strict indices to levels once, listed one-level
+power trees directly and counted product types by rank through one
+difference table.  They are kept
 verbatim, apart from their names, as oracles: every comparison requires
 the same result, or the same exception type and message.  The one
 intended difference is the empty power embedding, whose value tuple is
@@ -13,6 +15,7 @@ now () (``ref_power_val`` gives ((),)) and which now round-trips.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from operator import itemgetter
 
 import pytest
@@ -28,6 +31,7 @@ from ordramsey.typecalc import (
     enum_power,
     enum_strict,
     internal_nodes,
+    rank_counts,
     mult_type,
     power_type,
     power_val,
@@ -174,6 +178,48 @@ def ref_finite_degree_oracle(c, n, k):
 def ref_mult_fields(p, blocks):
     """The fields MultiplicativeType used to normalise its arguments to."""
     return tuple(int(x) for x in p), tuple(tuple(sorted(b)) for b in blocks)
+
+
+@lru_cache(maxsize=None)
+def ref_rank_counts(parts):
+    parts = tuple(sorted(parts))
+    total = sum(parts)
+    if total == 0:
+        return ((0, 1),)
+    out = []
+    for r in range(1, total + 1):
+        count = 0
+        for i in range(r + 1):
+            product = (-1) ** i * binom(r, i)
+            for x in parts:
+                product *= binom(r - i, x)
+            count += product
+        if count:
+            out.append((r, count))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def ref_positive_compositions(n):
+    if n == 0:
+        return ((),)
+    out = []
+    for first in range(1, n + 1):
+        out.extend((first, *rest) for rest in ref_positive_compositions(n - first))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def ref_enum_power(n, m):
+    if n < 1 or m < 0:
+        raise ValueError("need n >= 1 and m >= 0")
+    if m == 0:
+        return ((),) if n == 1 else ()
+    out = []
+    for comp in ref_positive_compositions(n):
+        for kids in itertools.product(*(ref_enum_power(c, m - 1) for c in comp)):
+            out.append(tuple(kids))
+    return tuple(out)
 
 
 # -- comparison --------------------------------------------------------
@@ -370,3 +416,18 @@ class TestOracle:
     def test_finite_degree_oracle(self):
         for c, n, k in itertools.product(range(8), range(5), range(5)):
             same(finite_degree_oracle, ref_finite_degree_oracle, c, n, k)
+
+
+class TestCounts:
+    def test_rank_counts(self):
+        # every level-count vector of up to three entries in 0..6, and a few
+        # past the enumeration's reach
+        vectors = [p for k in range(4) for p in itertools.product(range(7), repeat=k)]
+        for parts in vectors + [(30,), (12, 20, 5), (1,) * 25]:
+            same(rank_counts, ref_rank_counts, parts)
+
+    def test_enum_power_order(self):
+        # the listing order is pinned: every tree of n <= 7 leaves and
+        # height m <= 4, and the refusals
+        for n, m in itertools.product(range(-1, 8), range(-1, 5)):
+            same(enum_power, ref_enum_power, n, m)

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from ordramsey.degrees import ResourceCapError
+from ordramsey.degrees import ResourceCapError, count_product
 from ordramsey.verify import (
-    FLAGGED,
     MISMATCH,
     OK,
     Report,
@@ -25,15 +24,8 @@ class TestReport:
         r = Report()
         r.add("a", {}, 1, 1)
         r.add("b", {}, 1, 2)
-        r.add("c", {}, 1, 2, flagged=True)
-        assert [e.status for e in r.entries] == [OK, MISMATCH, FLAGGED]
+        assert [e.status for e in r.entries] == [OK, MISMATCH]
         assert not r.ok
-        assert len(r.flagged) == 1
-
-    def test_flagged_alone_keeps_ok(self):
-        r = Report()
-        r.add("only", {"x": 1}, 3, 5, flagged=True)
-        assert r.ok
 
     def test_lines(self):
         r = Report()
@@ -70,18 +62,17 @@ class TestFiniteOracle:
     def test_convention_suite_green(self):
         report = check_finite_convention()
         assert report.ok
-        assert not report.flagged
 
 
 class TestCheckSuites:
     def test_reference_instances_exact(self):
         report = check_reference_instances()
-        assert report.ok and not report.flagged
+        assert report.ok
         assert len(report.entries) == 8
 
     def test_product_bound_double_route(self):
         report = check_product_bound()
-        assert report.ok and not report.flagged
+        assert report.ok
 
     def test_roundtrips_small(self):
         report = check_roundtrips()
@@ -90,25 +81,47 @@ class TestCheckSuites:
         assert by_name["mult-roundtrip"].params["checked"] > 0
         assert by_name["power-roundtrip"].actual == 0
 
-    def test_type_counts_flags_are_the_known_ones(self):
+    def test_product_counts_are_strict(self):
         report = check_type_counts()
         assert report.ok
-        flagged = {
-            e.params["parts"]: (e.actual, e.expected) for e in report.flagged
+        counts = {
+            e.params["parts"]: (e.status, e.actual, e.expected)
+            for e in report.entries
+            if e.name == "product-count"
         }
-        assert flagged == {
-            (2,): (1, 3),
-            (2, 1): (5, 13),
-            (3,): (1, 13),
-            (2, 2): (13, 75),
+        assert counts == {
+            (2,): (OK, 1, 1),
+            (2, 1): (OK, 5, 5),
+            (3,): (OK, 1, 1),
+            (2, 2): (OK, 13, 13),
         }
+        assert all(count_product(parts) == actual for parts, (_, actual, _) in counts.items())
+
+    def test_every_type_count_has_lines(self):
+        report = check_type_counts()
+        names = [e.name for e in report.entries if e.name.endswith("-count")]
+        assert {name: names.count(name) for name in set(names)} == {
+            "additive-count": 36,
+            "strict-count": 25,
+            "product-count": 4,
+            "power-count": 16,
+            "mult-count": 16,
+        }
+
+    @pytest.mark.parametrize("family", ["additive", "strict", "product", "power", "mult"])
+    def test_counts_come_from_the_closed_forms(self, monkeypatch, family):
+        # a wrong closed form must show as a mismatch on every line it feeds
+        monkeypatch.setattr(f"ordramsey.verify.count_{family}", lambda *args: -1)
+        report = check_type_counts()
+        names = {f"{family}-count"} | ({"product-count-all-ones"} if family == "product" else set())
+        assert {e.name for e in report.mismatches} == names
+        assert all(e.status == MISMATCH for e in report.entries if e.name in names)
 
 
 class TestRunAll:
     def test_default_sweep_summary(self):
         report = run_all()
         assert report.ok
-        assert len(report.entries) == 168
-        assert len(report.flagged) == 4
-        assert {e.name for e in report.flagged} == {"product-count"}
-        assert sum(e.status == OK for e in report.entries) == 164
+        assert len(report.entries) == 200
+        assert sum(e.status == OK for e in report.entries) == 200
+        assert report.lines()[-1] == "200 checks: 200 ok, 0 flagged, 0 mismatched"

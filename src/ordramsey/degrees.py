@@ -16,6 +16,8 @@ each rule's statement and formula once, and both the classifier and
 
 from __future__ import annotations
 
+from math import comb
+from operator import add, mul, sub
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .chains import Record
@@ -39,11 +41,27 @@ class Rule(NamedTuple):
 
 
 def _tail_rule(inputs: dict, table: tuple):
-    """bound-add at rank n, or at every rank up to max_rank."""
+    """bound-add at rank n, or at every rank up to max_rank in one pass.
+
+    Rank r of the table step is sum_{j <= min(m, r)} C(m, j) * table[r - j],
+    so it adds copies of the table shifted by j and weighted by C(m, j);
+    it refuses what a per-rank bound_add would refuse, with its message.
+    """
     m = inputs["m"]
-    if "max_rank" in inputs:
-        return tuple(bound_add(j, m, table) for j in range(inputs["max_rank"] + 1))
-    return bound_add(inputs["n"], m, table)
+    if "max_rank" not in inputs:
+        return bound_add(inputs["n"], m, table)
+    top = inputs["max_rank"]
+    if top < 0:
+        return ()
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    # a short table fails at the first rank it misses
+    _check_table(table, min(top, len(table)))
+    out = list(table[: top + 1])
+    for j in range(1, min(m, top) + 1):
+        weight = binom(m, j)
+        out[j:] = map(add, out[j:], [weight * t for t in table[: top + 1 - j]])
+    return tuple(out)
 
 
 def _power_rule(inputs: dict, table: tuple) -> tuple:
@@ -100,8 +118,11 @@ class ResourceCapError(RuntimeError):
 # Largest answer, in bits: 2^14000 has 4215 decimal digits, so every answer
 # below it prints under Python's default limit of 4300 digits.
 MAX_ANSWER_BITS = 14_000
-# Most big-integer steps a closed form may take, about a second's work:
-# classify 'w^214' --n 5 needs about 1.26e6 for the power rule.
+# Most big-integer steps a closed form may take, up to two seconds' work in
+# a fresh process (Python 3.11, shared 2-vCPU machine): near the cap,
+# classify 'w^3' --n 109 --cap 200 takes 0.7 s and types product
+# --count-only over 1150 ones 1.6-1.7 s.  classify 'w^214' --n 5 needs
+# about 1.26e6 steps for the power rule and takes 0.5-0.7 s.
 MAX_STEPS = 2_000_000
 # Most objects a witness report may list: its palette's types plus the
 # embeddings of every instance, a few seconds' work.
@@ -279,15 +300,14 @@ def count_product(parts: Sequence[int]) -> int:
 
     A rank-r type is one of prod_l C(r, parts[l]), so with N = sum(parts)
     there are at most N^(N + 1); rank_counts takes about N * len(parts)
-    binomials and N^2 / 2 subtractions, and the cap counts
-    N^2 * len(parts) / 2 steps.
+    binomials and N^2 / 2 subtractions, and the cap counts both.
     """
     parts = tuple(map(int, parts))
     if not parts or any(x < 1 for x in parts):
         raise ValueError("parts must be a nonempty tuple of positive sizes")
     total = sum(parts)
     _check_bits((total + 1) * total.bit_length())
-    check_cap(total * total * len(parts) // 2, MAX_STEPS, "big-integer steps")
+    check_cap(total * len(parts) + total * total // 2, MAX_STEPS, "big-integer steps")
     return product_bound(parts, (1,) * (total + 1))
 
 
@@ -316,7 +336,7 @@ def bound_mul(n: int, m: int, table: Sequence[int]) -> int:
     if m < 1:
         raise ValueError("m must be >= 1")
     _check_table(table, n)
-    return _by_rank(table, n, lambda y: binom(m * y, n))
+    return _by_rank(table, n, lambda y: comb(m * y, n))
 
 
 def product_bound(parts: Sequence[int], table: Sequence[int]) -> int:
@@ -343,7 +363,7 @@ def bound_pow(n: int, m: int, table: Sequence[int]) -> int:
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     _check_table(table, n * m)
-    return _by_rank(table, n * m, lambda y: binom(y**m, n))
+    return _by_rank(table, n * m, lambda y: comb(y**m, n))
 
 
 def _by_rank(table: Sequence[int], top: int, count: Callable[[int], int]) -> int:
@@ -351,15 +371,17 @@ def _by_rank(table: Sequence[int], top: int, count: Callable[[int], int]) -> int
     y labels, some unused, and the r-th forward difference D^r count(0) =
     sum_i (-1)^i C(r, i) count(r - i) keeps those using all r.
 
-    One difference table gives every r: count is called once per y <= top,
-    and the rest is (top + 1)^2 / 2 subtractions.
+    D = E - 1 for the shift E, so the sum is sum_{y <= top} count(y) * W[y],
+    with W[y] the coefficient of x^y in sum_r table[r] * (x - 1)^r.  One
+    Horner pass builds W in about (top + 1)^2 / 2 subtractions on the
+    table's entries, in the pipeline much smaller than the counts; count is
+    called once per y <= top, in order, and each count enters one product.
     """
-    row = [count(y) for y in range(top + 1)]
-    total = 0
-    for r in range(top + 1):
-        total += table[r] * row[0]
-        row = [b - a for a, b in zip(row, row[1:])]
-    return total
+    w = [table[top]]
+    for entry in reversed(table[:top]):
+        # W <- W * (x - 1) + entry
+        w = [entry - w[0], *map(sub, w, w[1:]), w[-1]]
+    return sum(map(mul, map(count, range(top + 1)), w))
 
 
 def _check_table(table: Sequence[int], upto: int):

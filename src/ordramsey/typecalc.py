@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import sub
 from typing import Dict, Iterator, Optional, Tuple
 
 from .chains import Chain, Embedding, Leveled, Power, Record, SumTail, _as_chain
@@ -297,7 +298,7 @@ def rank_counts(parts: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
     for r in range(total + 1):
         if row[0]:
             out.append((r, row[0]))
-        row = [b - a for a, b in zip(row, row[1:])]
+        row = list(map(sub, row[1:], row))
     return tuple(out)
 
 

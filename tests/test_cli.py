@@ -205,7 +205,8 @@ TOO_MUCH_WORK = [
     ("witness", "product", "--parts", "2,2", "--sizes", "1,100"),
     ("witness", "product", "--parts", "1000000000", "--sizes", "1"),
     ("types", "mult", "--n", "5000", "--m", "3", "--count-only"),
-    ("types", "product", "--parts", ",".join(["1"] * 300), "--count-only"),
+    # 1200 * 1200 binomials and 1200^2 / 2 subtractions, about 2.16e6 steps
+    ("types", "product", "--parts", ",".join(["1"] * 1200), "--count-only"),
     ("types", "power", "--n", "100000", "--m", "7", "--count-only"),
     # 6^12 records to list
     ("types", "strict", "--n", "12", "--m", "6"),
@@ -313,6 +314,15 @@ class TestTypes:
         )
         assert code == EXIT_OK
         assert out.strip() == str(count)
+
+    @pytest.mark.parametrize("parts", [(400, 400, 400), (1,) * 300])
+    def test_product_count_cap_predicts_the_work_done(self, capsys, parts):
+        # N * len(parts) binomials plus N^2 / 2 subtractions: 723 600 and
+        # 135 000 steps, both under the cap
+        argv = ("types", "product", "--parts", ",".join(map(str, parts)), "--count-only")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert int(out) > 0
 
     def test_product_count(self, capsys):
         _, out, _ = run_cli(capsys, "types", "product", "--parts", "1,1", "--count-only")

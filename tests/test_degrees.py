@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordramsey import degrees
 from ordramsey.degrees import (
     EXACT,
     FINITE_UNBOUNDED,
@@ -292,6 +293,19 @@ class TestClassifier:
         classify(a, 5)
         pipeline_bound(a, 5)
         assert (enum_power.cache_info(), rank_counts.cache_info()) == before
+
+    def test_pipeline_work_per_rule(self, monkeypatch):
+        # the tail rule's table step is one pass, not a bound_add per rank;
+        # the power rule calls bound_pow once per rank 1..n
+        calls = {"bound_add": 0, "bound_pow": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(degrees, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(degrees, name, counted)
+        classify(parse("w^6*9 + 5"), 5)
+        assert calls == {"bound_add": 1, "bound_pow": 5}
 
     def test_large_exponent_finishes(self):
         # 40^4 trees by listing; the closed form answers well inside the timeout

@@ -5,7 +5,9 @@ The ``ref_*`` functions below are the straightforward versions the
 package used before it grouped suffixes in one pass, validated chains
 with ``map``, mapped strict indices to levels once, listed one-level
 power trees directly and counted product types by rank through one
-difference table.  They are kept
+difference table, built the tail rule's table one ``bound_add`` per
+rank, and took the power and product rules' sum over ranks as a
+difference table of the type counts.  They are kept
 verbatim, apart from their names, as oracles: every comparison requires
 the same result, or the same exception type and message.  The one
 intended difference is the empty power embedding, whose value tuple is
@@ -15,6 +17,7 @@ now () (``ref_power_val`` gives ((),)) and which now round-trips.
 from __future__ import annotations
 
 import itertools
+import random
 from functools import lru_cache
 from operator import itemgetter
 
@@ -23,7 +26,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordramsey.chains import Embedding, Leveled, Power, _as_chain, enumerate_embeddings
-from ordramsey.degrees import ResourceCapError
+from ordramsey.degrees import (
+    ResourceCapError,
+    _tail_rule,
+    bound_add,
+    bound_mul,
+    bound_pow,
+    pipeline_bound,
+)
+from ordramsey.ordinal import parse
 from ordramsey.typecalc import (
     MultiplicativeType,
     _require_power,
@@ -220,6 +231,19 @@ def ref_enum_power(n, m):
         for kids in itertools.product(*(ref_enum_power(c, m - 1) for c in comp)):
             out.append(tuple(kids))
     return tuple(out)
+
+
+def ref_tail_table(inputs, table):
+    return tuple(bound_add(j, inputs["m"], table) for j in range(inputs["max_rank"] + 1))
+
+
+def ref_by_rank(table, top, count):
+    row = [count(y) for y in range(top + 1)]
+    total = 0
+    for r in range(top + 1):
+        total += table[r] * row[0]
+        row = [b - a for a, b in zip(row, row[1:])]
+    return total
 
 
 # -- comparison --------------------------------------------------------
@@ -431,3 +455,39 @@ class TestCounts:
         # height m <= 4, and the refusals
         for n, m in itertools.product(range(-1, 8), range(-1, 5)):
             same(enum_power, ref_enum_power, n, m)
+
+
+class TestRules:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.none(), st.lists(st.integers(0, 10**6), max_size=12).map(tuple)),
+        st.integers(min_value=-1, max_value=8),
+        st.data(),
+    )
+    def test_tail_table_step(self, table, m, data):
+        # the one-pass table step against one bound_add per rank, past the
+        # table's end and with no table at all
+        top = data.draw(st.integers(-1, (12 if table is None else len(table)) + 2))
+        same(_tail_rule, ref_tail_table, {"m": m, "max_rank": top}, table)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 10, 16, 25, 40, 60])
+    def test_power_and_product_rules_at_large_d(self, d):
+        # random monotone tables of big entries, and the tables the pipeline
+        # lifts from w*m + 1 and feeds to the power rule
+        rng = random.Random(d)
+        for n in range(6):
+            table = [1]
+            for _ in range(n * d):
+                table.append(table[-1] * rng.randrange(1, 4) + rng.randrange(5))
+            assert bound_mul(n, d, table) == ref_by_rank(table, n, lambda y: binom(d * y, n))
+            if n == 0:
+                continue
+            assert bound_pow(n, d, table) == ref_by_rank(
+                table, n * d, lambda y: binom(y**d, n)
+            )
+            for m in (1, 3):
+                _, lifted, powered, _ = pipeline_bound(parse(f"w^{d}*{m}"), n).trace
+                assert powered.value == (1,) + tuple(
+                    ref_by_rank(lifted.value, j * d, lambda y: binom(y**d, j))
+                    for j in range(1, n + 1)
+                )

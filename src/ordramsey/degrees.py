@@ -21,7 +21,7 @@ from operator import add, mul, sub
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .chains import Record
-from .ordinal import OMEGA, Ordinal
+from .ordinal import OMEGA, ONE, Ordinal
 # enum_power and out_degrees are unused here: bench/tracer.py wraps them at these names
 from .typecalc import binom, enum_power, out_degrees, rank_counts
 
@@ -425,7 +425,7 @@ def classify(a: Ordinal, n: int, cap: int = 5) -> DegreeResult:
     terms = a.terms
     if a == OMEGA:
         return _derive(EXACT, ("ramsey-omega", {"n": n}))
-    if terms[0][0] == Ordinal.from_int(1):
+    if terms[0][0] == ONE:
         # leading exponent 1 leaves only w*m or w*m + p shapes
         m = terms[0][1]
         tail = terms[1][1] if len(terms) == 2 else 0

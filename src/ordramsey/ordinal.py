@@ -16,6 +16,11 @@ Whitespace is insignificant, and parenthesized exponents nest at most
 :data:`MAX_NESTING` deep.  ``str()`` emits the canonical spelling:
 terms in decreasing exponent order, ``^1`` and ``*1`` suppressed, ``" + "``
 between terms, so ``parse(str(a)) == a`` exactly.
+
+Every normal form is made in one place, :func:`_sum`: ``+``, ``*`` and
+the parser each hand it the monomials of a sum, left to right.  CNF
+order is Python's lexicographic order on the ``terms`` tuples, with
+exponents compared by the same ``<``.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ import functools
 from typing import Iterable, Tuple
 
 
-# Deepest parenthesized exponent the parser accepts.  Parsing, comparing
-# and printing recurse once per level, so this keeps them far from the
-# interpreter's recursion limit.
+# Deepest parenthesized exponent the parser accepts.  Parsing, comparing,
+# arithmetic and printing recurse a few frames per level, so this keeps
+# them far from the interpreter's recursion limit.
 MAX_NESTING = 100
 
 
@@ -59,7 +64,7 @@ class Ordinal:
             if c < 1:
                 raise ValueError(f"coefficient must be >= 1, got {c}")
         for (e1, _), (e2, _) in zip(terms, terms[1:]):
-            if _cmp(e1, e2) <= 0:
+            if not e2 < e1:
                 raise ValueError("exponents must be strictly decreasing")
         object.__setattr__(self, "terms", terms)
 
@@ -75,9 +80,7 @@ class Ordinal:
     def from_int(cls, c: int) -> "Ordinal":
         if c < 0:
             raise ValueError("ordinals are non-negative")
-        if c == 0:
-            return cls()
-        return cls(((cls(), c),))
+        return cls(((ZERO, c),)) if c else ZERO
 
     @classmethod
     def parse(cls, text: str) -> "Ordinal":
@@ -121,7 +124,7 @@ class Ordinal:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _cmp(self, other) < 0
+        return self.terms < other.terms
 
     def __hash__(self) -> int:
         return hash(self.terms)
@@ -132,16 +135,7 @@ class Ordinal:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        e0 = other.terms[0][0]
-        keep = [t for t in self.terms if _cmp(t[0], e0) > 0]
-        if len(keep) < len(self.terms) and self.terms[len(keep)][0] == e0:
-            merged = (e0, self.terms[len(keep)][1] + other.terms[0][1])
-            return Ordinal((*keep, merged, *other.terms[1:]))
-        return Ordinal((*keep, *other.terms))
+        return Ordinal(_sum(self.terms + other.terms))
 
     def __radd__(self, other) -> "Ordinal":
         other = _coerce(other)
@@ -153,20 +147,18 @@ class Ordinal:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if not self.terms or not other.terms:
-            return Ordinal()
-        a0 = self.terms[0][0]
-        total = Ordinal()
+        if not self.terms:
+            return self
+        # left distributivity: self * w^e*c for each term of other, summed
+        (a0, c0), rest = self.terms[0], self.terms[1:]
+        pieces = []
         for e, c in other.terms:
             if e.terms:
-                piece = Ordinal(((a0 + e, c),))
-            elif a0.terms:
-                # right factor finite: only the leading coefficient scales
-                piece = Ordinal(((a0, self.terms[0][1] * c), *self.terms[1:]))
+                pieces.append((a0 + e, c))
             else:
-                piece = Ordinal.from_int(self.terms[0][1] * c)
-            total = total + piece
-        return total
+                # finite factor: only the leading coefficient scales
+                pieces += ((a0, c0 * c), *rest)
+        return Ordinal(_sum(pieces))
 
     def __rmul__(self, other) -> "Ordinal":
         other = _coerce(other)
@@ -179,7 +171,7 @@ class Ordinal:
             return NotImplemented
         if m < 0:
             raise ValueError("only natural powers are defined")
-        out = Ordinal.from_int(1)
+        out = ONE
         for _ in range(m):
             out = out * self
         return out
@@ -203,16 +195,20 @@ def _coerce(x) -> "Ordinal | None":
     return None
 
 
-def _cmp(a: Ordinal, b: Ordinal) -> int:
-    """Three-way CNF comparison: lexicographic on (exponent, coefficient)."""
-    for (e1, c1), (e2, c2) in zip(a.terms, b.terms):
-        k = _cmp(e1, e2)
-        if k:
-            return k
-        if c1 != c2:
-            return -1 if c1 < c2 else 1
-    n1, n2 = len(a.terms), len(b.terms)
-    return 0 if n1 == n2 else (-1 if n1 < n2 else 1)
+def _sum(terms: Iterable[Tuple[Ordinal, int]]) -> Tuple[Tuple[Ordinal, int], ...]:
+    """The normal form of the sum of monomials ``w^e*c``, taken left to right.
+
+    Each term absorbs the earlier terms of smaller exponent and merges
+    with one of equal exponent.  Coefficients must be >= 1.
+    """
+    out = []
+    for e, c in terms:
+        while out and out[-1][0] < e:
+            out.pop()
+        if out and out[-1][0] == e:
+            c += out.pop()[1]
+        out.append((e, c))
+    return tuple(out)
 
 
 def compare(a, b) -> int:
@@ -220,7 +216,7 @@ def compare(a, b) -> int:
     a, b = _coerce(a), _coerce(b)
     if a is None or b is None:
         raise TypeError("compare expects ordinals or ints")
-    return _cmp(a, b)
+    return (b < a) - (a < b)
 
 
 def _term_str(e: Ordinal, c: int) -> str:
@@ -263,19 +259,21 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def expr(self) -> Ordinal:
-        total = self.term()
-        while True:
-            self.skip_ws()
-            if self.peek() != "+":
-                return total
+        terms = [self.term()]
+        self.skip_ws()
+        while self.peek() == "+":
             self.pos += 1
-            total = total + self.term()
+            terms.append(self.term())
+            self.skip_ws()
+        # a literal 0 adds nothing
+        return Ordinal(_sum(t for t in terms if t[1]))
 
-    def term(self) -> Ordinal:
+    def term(self) -> Tuple[Ordinal, int]:
+        """One monomial as an (exponent, coefficient) pair."""
         self.skip_ws()
         ch = self.peek()
         if ch.isdigit():
-            return Ordinal.from_int(self.nat())
+            return ZERO, self.nat()
         if ch != "w":
             self.fail("expected 'w' or a number")
         self.pos += 1
@@ -294,9 +292,7 @@ class _Parser:
             if coeff == 0:
                 self.pos = at
                 self.fail("coefficient must be >= 1")
-        if exponent.is_zero:
-            return Ordinal.from_int(coeff)
-        return Ordinal(((exponent, coeff),))
+        return exponent, coeff
 
     def expo(self) -> Ordinal:
         self.skip_ws()

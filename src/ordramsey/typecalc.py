@@ -137,11 +137,15 @@ def mult_type(f: Embedding) -> MultiplicativeType:
     p = [0] * f.codomain.m
     for _, level in f.images:
         p[level] += 1
+    return _leveled_type(p, [value for value, _ in f.images])
+
+
+def _leveled_type(p, values) -> MultiplicativeType:
+    """The type of indices 0..n-1 with level counts p that take these values."""
     by_value: Dict[int, list] = {}
-    for i, (value, _) in enumerate(f.images):
+    for i, value in enumerate(values):
         by_value.setdefault(value, []).append(i)
-    blocks = tuple(tuple(by_value[v]) for v in sorted(by_value))
-    return MultiplicativeType(tuple(p), blocks)
+    return MultiplicativeType(p, (by_value[v] for v in sorted(by_value)))
 
 
 def mult_val(f: Embedding) -> Chain:

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Sequence, Set, Tuple
 
 from .chains import Chain, Embedding, Leveled, SumTail, _as_chain, enumerate_embeddings
 from .typecalc import (
+    _leveled_type,
     additive_type,
     enum_additive,
     enum_product_types,
@@ -90,11 +91,8 @@ class ProductWitness:
             len(c) != k for c, k in zip(chains, self.parts)
         ):
             raise ValueError(f"expected chains of sizes {self.parts}")
-        codomain = Leveled(chains)
-        images = tuple(
-            (v, level) for level, chain in enumerate(chains) for v in chain
-        )
-        return self._index[mult_type(Embedding(codomain, images))]
+        values = (v for chain in chains for v in chain)
+        return self._index[_leveled_type(self.parts, values)]
 
     def domain(self, universe: Iterable[int]) -> Iterator[Tuple[Chain, ...]]:
         universe = _as_chain(universe)

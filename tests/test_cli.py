@@ -512,3 +512,42 @@ def test_types_and_witness_end_in_an_exit_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_RESOURCE)
+
+
+# grammar atoms: whole monomials, the pieces of one, whitespace, and
+# characters outside the grammar ("²" is a digit to str.isdigit, not to int)
+MONOMIALS = ["w", "0", "1", "7", "w*3", "w^2", "w^4*2", "w^w", "w^(w + 1)", "w^(0)"]
+ORDINAL_ATOMS = MONOMIALS + ["^", "*", "+", " + ", "(", ")", " ", "\t", "x", "-", "²"]
+
+
+@st.composite
+def degree_and_exact_argv(draw):
+    command = draw(st.sampled_from(["classify", "bound", "exact"]))
+    n = draw(st.integers(-2, 8))
+    if command == "exact":
+        family = draw(st.sampled_from(["omega", "omega+m", "omega*m", "Z", "signed"]))
+        signs = draw(st.one_of(st.just("--"), st.text("+-", max_size=4), st.text("+-x ", max_size=3)))
+        # "--flag=value", so that argparse reads "-1" and "--" as values
+        argv = ["exact", family, f"--n={n}", f"--m={draw(st.integers(-2, 8))}", f"--signs={signs}"]
+    else:
+        text = draw(
+            st.one_of(
+                st.lists(st.sampled_from(MONOMIALS), min_size=1, max_size=4).map(" + ".join),
+                st.lists(st.sampled_from(ORDINAL_ATOMS), max_size=10).map("".join),
+            )
+        )
+        argv = [command, text, f"--n={n}"]
+        if draw(st.booleans()):
+            argv.append(f"--cap={draw(st.integers(-2, 8))}")
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(degree_and_exact_argv())
+def test_classify_bound_and_exact_end_in_an_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_RESOURCE)

@@ -7,9 +7,13 @@ with ``map``, mapped strict indices to levels once, listed one-level
 power trees directly and counted product types by rank through one
 difference table, built the tail rule's table one ``bound_add`` per
 rank, and took the power and product rules' sum over ranks as a
-difference table of the type counts.  They are kept
-verbatim, apart from their names, as oracles: every comparison requires
-the same result, or the same exception type and message.  The one
+difference table of the type counts, compared, added and multiplied
+ordinals before every normal form came from one ``_sum``, parsed one
+pairwise sum at a time, and typed a product witness's tuple through a
+``Leveled`` codomain.  They are kept verbatim, apart from their names
+(and the ``+`` they call, routed to ``ref_add``), as oracles: every
+comparison requires the same result, or the same exception type and
+message, a parse error's position included.  The one
 intended difference is the empty power embedding, whose value tuple is
 now () (``ref_power_val`` gives ((),)) and which now round-trips.
 """
@@ -34,7 +38,17 @@ from ordramsey.degrees import (
     bound_pow,
     pipeline_bound,
 )
-from ordramsey.ordinal import parse
+from ordramsey.ordinal import (
+    MAX_NESTING,
+    OMEGA,
+    ONE,
+    Ordinal,
+    OrdinalSyntaxError,
+    _coerce,
+    _Parser,
+    compare,
+    parse,
+)
 from ordramsey.typecalc import (
     MultiplicativeType,
     _require_power,
@@ -52,6 +66,8 @@ from ordramsey.typecalc import (
     word_to_strict,
 )
 from ordramsey.verify import finite_degree_oracle
+from ordramsey.witness import ProductWitness
+from test_ordinal import cnf_ordinals
 
 # -- the earlier implementations, verbatim -----------------------------
 
@@ -244,6 +260,145 @@ def ref_by_rank(table, top, count):
         total += table[r] * row[0]
         row = [b - a for a, b in zip(row, row[1:])]
     return total
+
+
+def ref_cmp(a, b):
+    """Three-way CNF comparison: lexicographic on (exponent, coefficient)."""
+    for (e1, c1), (e2, c2) in zip(a.terms, b.terms):
+        k = ref_cmp(e1, e2)
+        if k:
+            return k
+        if c1 != c2:
+            return -1 if c1 < c2 else 1
+    n1, n2 = len(a.terms), len(b.terms)
+    return 0 if n1 == n2 else (-1 if n1 < n2 else 1)
+
+
+def ref_lt(self, other):
+    other = _coerce(other)
+    if other is None:
+        return NotImplemented
+    return ref_cmp(self, other) < 0
+
+
+def ref_compare(a, b):
+    a, b = _coerce(a), _coerce(b)
+    if a is None or b is None:
+        raise TypeError("compare expects ordinals or ints")
+    return ref_cmp(a, b)
+
+
+def ref_add(self, other):
+    other = _coerce(other)
+    if other is None:
+        return NotImplemented
+    if not other.terms:
+        return self
+    if not self.terms:
+        return other
+    e0 = other.terms[0][0]
+    keep = [t for t in self.terms if ref_cmp(t[0], e0) > 0]
+    if len(keep) < len(self.terms) and self.terms[len(keep)][0] == e0:
+        merged = (e0, self.terms[len(keep)][1] + other.terms[0][1])
+        return Ordinal((*keep, merged, *other.terms[1:]))
+    return Ordinal((*keep, *other.terms))
+
+
+def ref_mul(self, other):
+    other = _coerce(other)
+    if other is None:
+        return NotImplemented
+    if not self.terms or not other.terms:
+        return Ordinal()
+    a0 = self.terms[0][0]
+    total = Ordinal()
+    for e, c in other.terms:
+        if e.terms:
+            piece = Ordinal(((ref_add(a0, e), c),))
+        elif a0.terms:
+            # right factor finite: only the leading coefficient scales
+            piece = Ordinal(((a0, self.terms[0][1] * c), *self.terms[1:]))
+        else:
+            piece = Ordinal.from_int(self.terms[0][1] * c)
+        total = ref_add(total, piece)
+    return total
+
+
+def ref_pow(self, m):
+    out = Ordinal.from_int(1)
+    for _ in range(m):
+        out = ref_mul(out, self)
+    return out
+
+
+class RefParser(_Parser):
+    """The parser that summed one term at a time."""
+
+    def expr(self):
+        total = self.term()
+        while True:
+            self.skip_ws()
+            if self.peek() != "+":
+                return total
+            self.pos += 1
+            total = ref_add(total, self.term())
+
+    def term(self):
+        self.skip_ws()
+        ch = self.peek()
+        if ch.isdigit():
+            return Ordinal.from_int(self.nat())
+        if ch != "w":
+            self.fail("expected 'w' or a number")
+        self.pos += 1
+        exponent = ONE
+        self.skip_ws()
+        if self.peek() == "^":
+            self.pos += 1
+            exponent = self.expo()
+        coeff = 1
+        self.skip_ws()
+        if self.peek() == "*":
+            self.pos += 1
+            self.skip_ws()
+            at = self.pos
+            coeff = self.nat()
+            if coeff == 0:
+                self.pos = at
+                self.fail("coefficient must be >= 1")
+        if exponent.is_zero:
+            return Ordinal.from_int(coeff)
+        return Ordinal(((exponent, coeff),))
+
+
+def ref_parse(text):
+    return RefParser(text).run()
+
+
+def ref_mult_type(f):
+    if not isinstance(f.codomain, Leveled):
+        raise TypeError("mult_type expects an embedding into Leveled")
+    p = [0] * f.codomain.m
+    for _, level in f.images:
+        p[level] += 1
+    by_value = {}
+    for i, (value, _) in enumerate(f.images):
+        by_value.setdefault(value, []).append(i)
+    blocks = tuple(tuple(by_value[v]) for v in sorted(by_value))
+    return MultiplicativeType(tuple(p), blocks)
+
+
+def ref_product_color_of(self, chains):
+    chains = tuple(_as_chain(c) for c in chains)
+    if len(chains) != len(self.parts) or any(
+        len(c) != k for c, k in zip(chains, self.parts)
+    ):
+        raise ValueError(f"expected chains of sizes {self.parts}")
+    codomain = Leveled(chains)
+    images = tuple(
+        (v, level) for level, chain in enumerate(chains) for v in chain
+    )
+    return self._index[ref_mult_type(Embedding(codomain, images))]
 
 
 # -- comparison --------------------------------------------------------
@@ -491,3 +646,103 @@ class TestRules:
                     ref_by_rank(lifted.value, j * d, lambda y: binom(y**d, j))
                     for j in range(1, n + 1)
                 )
+
+
+# grammar atoms: monomials, canonical or not, with nested exponents
+TERM_ATOMS = [
+    "0", "1", "3", "12", "w", "w*2", "w^2", "w^2*3", "w^0*4", "w^(0)", "w^1",
+    "w^w", "w^(w)", "w^(w + 1)*2", "w^(1 + w + w^2*3 + w)", "w^(w^(w^2 + w) + 2)",
+]
+# and pieces that break the grammar
+BROKEN_ATOMS = ["w*0", ")", "(", "^", "*", "+", " ", "w^", "x", "w^w^w", "00"]
+well_formed = st.lists(st.sampled_from(TERM_ATOMS), min_size=1, max_size=6).map(" + ".join)
+texts = st.one_of(
+    well_formed,
+    st.lists(st.sampled_from(TERM_ATOMS + BROKEN_ATOMS), min_size=0, max_size=6).map("".join),
+    st.lists(st.sampled_from(TERM_ATOMS + BROKEN_ATOMS), min_size=1, max_size=6).map(" + ".join),
+)
+ordinals = st.one_of(cnf_ordinals(), well_formed.map(ref_parse))
+
+
+def nested(depth, inner):
+    return "w^(" * depth + inner + ")" * depth
+
+
+def at_depth(frames, fn, *args):
+    """fn(*args), called with ``frames`` more frames on the stack."""
+    if frames:
+        return at_depth(frames - 1, fn, *args)
+    return fn(*args)
+
+
+class TestOrdinal:
+    @pytest.mark.parametrize(
+        "text",
+        ["1 + w + w^2*3 + w", "w^0*4", "w^(0) + 2", "w*0", ")", "", "0", "w + 0 + 0",
+         "3 + 0", "w^(w + 0)", "w^(0 + w*0)", "w + w^w + 1 + w^(w + 1)"],
+    )
+    def test_parse_cases(self, text):
+        same(parse, ref_parse, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts)
+    def test_parse_random(self, text):
+        same(parse, ref_parse, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ordinals, ordinals)
+    def test_order_and_arithmetic(self, a, b):
+        assert (a < b) is ref_lt(a, b)
+        assert compare(a, b) == ref_compare(a, b)
+        assert (a + b).terms == ref_add(a, b).terms
+        assert (a * b).terms == ref_mul(a, b).terms
+
+    @settings(max_examples=100, deadline=None)
+    @given(ordinals, st.integers(0, 3))
+    def test_ints_and_powers(self, a, k):
+        assert (a < k, k < a) == (ref_lt(a, k), ref_lt(Ordinal.from_int(k), a))
+        assert compare(a, k) == ref_compare(a, k)
+        assert (a + k) == ref_add(a, k)
+        assert (k + a) == ref_add(Ordinal.from_int(k), a)
+        assert (a * k) == ref_mul(a, k)
+        assert (k * a) == ref_mul(Ordinal.from_int(k), a)
+        assert a**k == ref_pow(a, k)
+
+    def test_refusals(self):
+        for a, b in [(OMEGA, "w"), (OMEGA, 1.0), ("w", 2), (OMEGA, None)]:
+            same(compare, ref_compare, a, b)
+
+    def test_recursion_headroom_at_the_cap(self):
+        # the deepest exponents the parser admits, differing only at the
+        # bottom, so that every operation recurses all the way down
+        a, b = parse(nested(MAX_NESTING, "w^2")), parse(nested(MAX_NESTING, "w^3"))
+        with pytest.raises(OrdinalSyntaxError, match="nest deeper"):
+            parse(nested(MAX_NESTING + 1, "w^2"))
+        assert at_depth(200, lambda: a < b)
+        assert not at_depth(200, lambda: a == b)
+        assert at_depth(200, compare, a, b) == -1
+        assert at_depth(200, lambda: a + b) == b
+        assert at_depth(200, lambda: a * b).terms == ((b.terms[0][0], 1),)
+        assert at_depth(200, str, a).count("(") == MAX_NESTING
+        assert at_depth(200, lambda: parse(str(a)) == a)
+
+
+class TestProductWitness:
+    @pytest.mark.parametrize(
+        "parts",
+        [p for k in (1, 2) for p in itertools.product(range(1, 4), repeat=k)]
+        + list(itertools.product(range(1, 3), repeat=3)),
+    )
+    def test_colors_as_through_leveled(self, parts):
+        w = ProductWitness(parts)
+        for u in range(7):
+            for chains in w.domain(range(u)):
+                assert w.color_of(chains) == ref_product_color_of(w, chains)
+        # wrong sizes, and chains that are no chains
+        first = tuple(range(parts[0] + 1))
+        for chains in [
+            (), tuple(() for _ in parts) + ((),), (first,) + tuple(() for _ in parts[1:]),
+            ((1, 0),) + tuple(() for _ in parts[1:]), ((-1,),), (("x",),),
+            tuple(tuple(range(k)) for k in parts)[:-1],
+        ]:
+            same(w.color_of, lambda c: ref_product_color_of(w, c), chains)

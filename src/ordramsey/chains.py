@@ -169,18 +169,6 @@ def order_points(codomain: Codomain) -> tuple:
     raise TypeError(f"not a codomain: {codomain!r}")
 
 
-def size(codomain: Codomain) -> int:
-    if isinstance(codomain, SumTail):
-        return len(codomain.base) + codomain.m
-    if isinstance(codomain, Leveled):
-        return sum(len(u) for u in codomain.levels)
-    if isinstance(codomain, Power):
-        return len(codomain.base) ** codomain.m
-    if isinstance(codomain, Signed):
-        return sum(len(part) for part, _ in codomain.parts)
-    raise TypeError(f"not a codomain: {codomain!r}")
-
-
 class Embedding(Record):
     """Images of the chain 0 < ... < n-1 inside a codomain."""
 

@@ -9,6 +9,7 @@ verification, 2 parse or usage error, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -179,7 +180,8 @@ _WITNESSES = {
 
 
 def _cmd_degree(args) -> int:
-    result = args.entry(parse(args.ordinal), args.n, cap=args.cap)
+    entry = classify if args.command == "classify" else pipeline_bound
+    result = entry(parse(args.ordinal), args.n, cap=args.cap)
     if args.json:
         _print_json({"input": args.ordinal, "n": args.n, "result": result.as_json()})
         return EXIT_OK
@@ -255,7 +257,10 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    more than most requests, and parsing leaves it unchanged."""
     parser = _Parser(
         prog="ordramsey",
         description="Big Ramsey degree calculus for countable ordinals.",
@@ -267,14 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="subchain size")
     p.add_argument("--cap", type=int, default=5, help="resource cap on n")
     p.add_argument("--json", action="store_true", help="emit the JSON model")
-    p.set_defaults(func=_cmd_degree, entry=classify)
+    p.set_defaults(func=_cmd_degree)
 
     p = sub.add_parser("bound", help="run the general pipeline bound with trace")
     p.add_argument("ordinal")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int, default=5)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_degree, entry=pipeline_bound)
+    p.set_defaults(func=_cmd_degree)
 
     p = sub.add_parser("exact", help="closed-form degree families")
     p.add_argument("family", choices=_EXACT)
@@ -312,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except OrdinalSyntaxError as exc:

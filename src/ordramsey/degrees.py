@@ -389,11 +389,6 @@ def _check_table(table: Sequence[int], upto: int):
         raise ValueError(f"table must cover 0..{upto}, got length {len(table)}")
 
 
-def monotonicity_check(table: Sequence[int]) -> bool:
-    """Degree tables never decrease in n; False flags a computed anomaly."""
-    return all(a <= b for a, b in zip(table, table[1:]))
-
-
 # -- classifier ------------------------------------------------------
 
 

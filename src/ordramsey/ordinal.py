@@ -272,7 +272,7 @@ class _Parser:
         """One monomial as an (exponent, coefficient) pair."""
         self.skip_ws()
         ch = self.peek()
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             return ZERO, self.nat()
         if ch != "w":
             self.fail("expected 'w' or a number")
@@ -297,7 +297,7 @@ class _Parser:
     def expo(self) -> Ordinal:
         self.skip_ws()
         ch = self.peek()
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             return Ordinal.from_int(self.nat())
         if ch == "w":
             self.pos += 1
@@ -319,7 +319,9 @@ class _Parser:
     def nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII digits only: str.isdigit() also takes digits such as '²'
+        # that int() refuses
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.fail("expected a number")

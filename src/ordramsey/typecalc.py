@@ -88,14 +88,6 @@ class MultiplicativeType(Record):
     def is_strict(self) -> bool:
         return all(len(b) == 1 for b in self.blocks)
 
-    def level_of(self, i: int) -> int:
-        upper = 0
-        for level, count in enumerate(self.p):
-            upper += count
-            if i < upper:
-                return level
-        raise IndexError(i)
-
     def as_json(self) -> dict:
         return {"p": list(self.p), "blocks": [list(b) for b in self.blocks]}
 
@@ -204,12 +196,16 @@ def _block_sequences(p: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], ...]
     A block holds at most one index per level, so a type is a sequence of
     nonempty level sets using level l exactly p[l] times; blocks then name
     their indices by how often each level was used before.  Level sets are
-    tried in ascending bitmask order, which pins the output order.
+    tried in ascending bitmask order, which pins the output order; only
+    sets of levels with p[l] > 0 can occur, so only those are built.
     """
     m = len(p)
     starts = [sum(p[:l]) for l in range(m)]
+    live = [l for l in range(m) if p[l]]
+    # bit i stands for live[i], which keeps the ascending order of the masks
     masks = [
-        tuple(l for l in range(m) if mask >> l & 1) for mask in range(1, 1 << m)
+        tuple(l for i, l in enumerate(live) if mask >> i & 1)
+        for mask in range(1, 1 << len(live))
     ]
 
     def rec(remaining, used, acc):
@@ -406,12 +402,6 @@ def internal_nodes(tree: Tree) -> tuple:
 def out_degrees(tree: Tree) -> Tuple[int, ...]:
     """Out-degree sequence over the internal vertices of a power type."""
     return tuple(len(node) for _, node in internal_nodes(tree))
-
-
-def tree_leaf_count(tree: Tree) -> int:
-    if tree == ():
-        return 1
-    return sum(tree_leaf_count(child) for child in tree)
 
 
 def tree_height(tree: Tree) -> int:

@@ -7,6 +7,7 @@ import importlib.util
 import io
 import itertools
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -77,6 +78,22 @@ class TestClassify:
         code, _, err = run_cli(capsys, "classify", "w^", "--n", "1")
         assert code == EXIT_PARSE
         assert err.startswith("parse error:")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("w*²", "expected a number (at position 2)"),
+            ("²", "expected 'w' or a number (at position 0)"),
+            ("w^²", "expected an exponent (at position 2)"),
+        ],
+    )
+    def test_non_ascii_digits_are_parse_errors(self, capsys, text, message):
+        # str.isdigit() takes '²', int() does not: the grammar reads ASCII digits only
+        assert run_cli(capsys, "classify", text, "--n", "2") == (
+            EXIT_PARSE,
+            "",
+            f"parse error: {message}\n",
+        )
 
     @pytest.mark.parametrize("json_flag", [(), ("--json",)])
     @pytest.mark.parametrize(
@@ -293,6 +310,22 @@ class TestTypes:
         _, out, _ = run_cli(capsys, "types", "strict", "--n", n, "--m", "10", "--count-only")
         assert out == f"{10 ** int(n)}\n"
 
+    def test_mult_listing_builds_only_the_levels_it_uses(self):
+        # one point on one of 40 levels: the listing builds only the level set
+        # a composition uses, never all 2^40 - 1; with 512 MB of address space
+        # the child fails fast if it tries
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordramsey", "types", "mult", "--n", "1", "--m", "40"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (512 << 20,) * 2),
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        records = [json.loads(line) for line in proc.stdout.splitlines()]
+        levels = [[int(l == k) for l in range(40)] for k in reversed(range(40))]
+        assert records == [{"p": p, "blocks": [[0]]} for p in levels]
+
     def test_one_level_power_lists_one_tree(self, capsys):
         code, out, err = run_cli(capsys, "types", "power", "--n", "1200", "--m", "1")
         assert (code, err) == (EXIT_OK, "")
@@ -400,22 +433,20 @@ class TestWitness:
 
 
 class TestVerify:
-    def test_small_sweep_green(self, capsys):
-        code, out, _ = run_cli(capsys, "verify")
-        assert code == EXIT_OK
-        assert "mismatched" in out.splitlines()[-1]
-        assert " 0 mismatched" in out.splitlines()[-1]
+    def test_small_sweep_green(self, verify_sweep):
+        assert verify_sweep.code == EXIT_OK
+        assert "mismatched" in verify_sweep.stdout.splitlines()[-1]
+        assert " 0 mismatched" in verify_sweep.stdout.splitlines()[-1]
 
-    def test_output_passes_the_benchmark_check(self, capsys):
+    def test_output_passes_the_benchmark_check(self, verify_sweep):
         # the benchmark's verify requests fail unless this check accepts them
         spec = importlib.util.spec_from_file_location(
             "bench_reference", ROOT / "bench" / "reference.py"
         )
         reference = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(reference)
-        code, out, _ = run_cli(capsys, "verify")
-        assert code == EXIT_OK
-        assert reference._check_verify(out)
+        assert verify_sweep.code == EXIT_OK
+        assert reference._check_verify(verify_sweep.stdout)
 
     def test_fixed_sweep_takes_no_size_flags(self):
         with pytest.raises(SystemExit) as exc:

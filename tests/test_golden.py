@@ -71,8 +71,9 @@ def test_cli_output_matches_fixture():
     assert not changed
 
 
-def test_verify_output_matches_fixture():
-    assert run(["verify"]) == load()["verify"]
+def test_verify_output_matches_fixture(verify_sweep):
+    got = {"code": verify_sweep.code, "stdout": verify_sweep.stdout, "stderr": verify_sweep.stderr}
+    assert {"argv": ["verify"], **got} == load()["verify"]
 
 
 def test_every_trace_replays():

@@ -67,6 +67,12 @@ class TestParse:
             parse("w + ?")
         assert info.value.position == 4
 
+    def test_non_ascii_digit_position(self):
+        # '²' passes str.isdigit() but not int(); it is no digit of the grammar
+        with pytest.raises(OrdinalSyntaxError, match="expected a number") as info:
+            parse("w*²")
+        assert info.value.position == 2
+
     def test_zero_coefficient_position(self):
         with pytest.raises(OrdinalSyntaxError) as info:
             parse("w*0")

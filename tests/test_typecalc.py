@@ -31,7 +31,6 @@ from ordramsey.typecalc import (
     reconstruct_power,
     strict_to_word,
     tree_height,
-    tree_leaf_count,
     word_to_strict,
 )
 from ordramsey.verify import (
@@ -105,14 +104,11 @@ class TestMultExtraction:
 
 
 class TestMultReconstruction:
-    def test_roundtrip_exhaustive(self):
-        for m in (1, 2, 3):
-            for s in (1, 2, 3):
-                codomain = Leveled((tuple(range(s)),) * m)
-                for n in range(4):
-                    for f in enumerate_embeddings(n, codomain):
-                        t, v = mult_type(f), mult_val(f)
-                        assert reconstruct_mult(t, v, codomain) == f
+    def test_roundtrip_exhaustive(self, verify_sweep):
+        # verify runs this round trip over every embedding of n <= 3 points
+        # into m <= 3 levels of s <= 3 values
+        checked = sum(binom(s * m, n) for m in (1, 2, 3) for s in (1, 2, 3) for n in range(4))
+        assert f"[ok] mult-roundtrip checked={checked}: 0" in verify_sweep.stdout.splitlines()
 
     def test_reconstruction_extracts_back(self):
         for t in enum_mult(3, 2):
@@ -140,11 +136,10 @@ class TestMultEnumeration:
         assert len(types) == 5
         assert len(set(types)) == 5
 
-    def test_matches_embedding_scan(self):
+    def test_matches_embedding_scan(self, verify_sweep):
+        # verify scans Leveled((range(n),) * m) for every n, m <= 3
         for n, m in [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)]:
-            codomain = Leveled((tuple(range(n)),) * m)
-            scanned = {mult_type(f) for f in enumerate_embeddings(n, codomain)}
-            assert scanned == set(enum_mult(n, m))
+            assert f"[ok] mult-enum-set n={n} m={m}: True" in verify_sweep.stdout.splitlines()
 
     def test_every_type_realized_at_level_size_n(self):
         for n, m in [(2, 2), (3, 2), (2, 3)]:
@@ -178,8 +173,9 @@ class TestMultEnumeration:
             assert dict(rank_counts(parts)) == tally
 
     def test_level_of(self):
+        # index i sits on the level whose window of counts in p holds it
         t = MultiplicativeType((2, 0, 1), ((0,), (1,), (2,)))
-        assert [t.level_of(i) for i in range(3)] == [0, 0, 2]
+        assert [level for _, level in mult_points(t, (4, 5, 6))] == [0, 0, 2]
 
 
 class TestWordBijection:
@@ -190,12 +186,11 @@ class TestWordBijection:
         assert strict_to_word(t) == "2302202"
         assert word_to_strict("2302202", 4) == t
 
-    def test_roundtrip_all_words(self):
-        for n in range(7):
-            for m in (1, 2, 3, 4):
-                for letters in itertools.product(range(m), repeat=n):
-                    word = "".join(map(str, letters))
-                    assert strict_to_word(word_to_strict(word, m)) == word
+    def test_roundtrip_all_words(self, verify_sweep):
+        # verify runs this round trip over every word of length n < 7 over
+        # m <= 4 letters
+        checked = sum(m**n for n in range(7) for m in (1, 2, 3, 4))
+        assert f"[ok] word-roundtrip checked={checked}: 0" in verify_sweep.stdout.splitlines()
 
     def test_roundtrip_all_strict_types(self):
         for t in enum_strict(3, 3):
@@ -218,18 +213,15 @@ class TestPower:
         assert power_val(f) == REF_POWER_VAL
 
     def test_reference_shape(self):
-        assert tree_leaf_count(REF_POWER_TREE) == 12
+        assert reconstruct_power(REF_POWER_TREE, REF_POWER_VAL).n == 12
         assert tree_height(REF_POWER_TREE) == 4
         assert out_degrees(REF_POWER_TREE)[:4] == (3, 2, 3, 2)
 
-    def test_roundtrip_exhaustive(self):
-        for m in (1, 2, 3):
-            for s in (1, 2, 3):
-                codomain = Power(tuple(range(s)), m)
-                for n in (1, 2, 3):
-                    for f in enumerate_embeddings(n, codomain):
-                        t, v = power_type(f), power_val(f)
-                        assert reconstruct_power(t, v, codomain) == f
+    def test_roundtrip_exhaustive(self, verify_sweep):
+        # verify runs this round trip over every embedding of n <= 3 points
+        # into Power(range(s), m) for m, s <= 3
+        checked = sum(binom(s**m, n) for m in (1, 2, 3) for s in (1, 2, 3) for n in (1, 2, 3))
+        assert f"[ok] power-roundtrip checked={checked}: 0" in verify_sweep.stdout.splitlines()
 
     def test_reconstruction_extracts_back(self):
         f = reconstruct_power(REF_POWER_TREE, REF_POWER_VAL)
@@ -278,14 +270,14 @@ class TestPower:
             trees = enum_power(n, m)
             assert len(set(trees)) == len(trees)
             for t in trees:
-                assert tree_leaf_count(t) == n
+                v = tuple(tuple(range(k)) for k in out_degrees(t))
+                assert reconstruct_power(t, v).n == n
                 assert tree_height(t) == m
 
-    def test_matches_embedding_scan(self):
+    def test_matches_embedding_scan(self, verify_sweep):
+        # verify scans Power(range(n), m) for every n, m <= 3
         for n, m in [(1, 1), (2, 2), (3, 2), (2, 3)]:
-            codomain = Power(tuple(range(n)), m)
-            scanned = {power_type(f) for f in enumerate_embeddings(n, codomain)}
-            assert scanned == set(enum_power(n, m))
+            assert f"[ok] power-enum-set n={n} m={m}: True" in verify_sweep.stdout.splitlines()
 
 
 class TestInvariance:

@@ -12,10 +12,8 @@ from ordramsey.verify import (
     check_finite_convention,
     check_product_bound,
     check_reference_instances,
-    check_roundtrips,
     check_type_counts,
     finite_degree_oracle,
-    run_all,
 )
 
 
@@ -74,15 +72,15 @@ class TestCheckSuites:
         report = check_product_bound()
         assert report.ok
 
-    def test_roundtrips_small(self):
-        report = check_roundtrips()
+    def test_roundtrips_small(self, verify_sweep):
+        report = verify_sweep.report
         assert report.ok
         by_name = {e.name: e for e in report.entries if "roundtrip" in e.name}
         assert by_name["mult-roundtrip"].params["checked"] > 0
         assert by_name["power-roundtrip"].actual == 0
 
-    def test_product_counts_are_strict(self):
-        report = check_type_counts()
+    def test_product_counts_are_strict(self, verify_sweep):
+        report = verify_sweep.report
         assert report.ok
         counts = {
             e.params["parts"]: (e.status, e.actual, e.expected)
@@ -97,8 +95,8 @@ class TestCheckSuites:
         }
         assert all(count_product(parts) == actual for parts, (_, actual, _) in counts.items())
 
-    def test_every_type_count_has_lines(self):
-        report = check_type_counts()
+    def test_every_type_count_has_lines(self, verify_sweep):
+        report = verify_sweep.report
         names = [e.name for e in report.entries if e.name.endswith("-count")]
         assert {name: names.count(name) for name in set(names)} == {
             "additive-count": 36,
@@ -119,8 +117,8 @@ class TestCheckSuites:
 
 
 class TestRunAll:
-    def test_default_sweep_summary(self):
-        report = run_all()
+    def test_default_sweep_summary(self, verify_sweep):
+        report = verify_sweep.report
         assert report.ok
         assert len(report.entries) == 200
         assert sum(e.status == OK for e in report.entries) == 200

@@ -64,12 +64,6 @@ def _tail_rule(inputs: dict, table: tuple):
     return tuple(out)
 
 
-def _power_rule(inputs: dict, table: tuple) -> tuple:
-    """bound-pow at every rank up to max_rank; rank 0 stays 1."""
-    d, top = inputs["d"], inputs["max_rank"]
-    return (1,) + tuple(bound_pow(j, d, table) for j in range(1, top + 1))
-
-
 RULES = {
     "zero-domain": Rule("T(0, C) = 1 for every chain C", lambda i, t: 1),
     "finite-chain-convention": Rule(
@@ -97,7 +91,7 @@ RULES = {
     ),
     "bound-pow": Rule(
         "T(n, a^d) <= sum over (n, d)-power types of the product bound on their out-degrees",
-        _power_rule,
+        lambda i, t: _power_table(t, i["d"], i["max_rank"]),
     ),
     "subsum": Rule(
         "T(n, b) <= T(n, a) when b is a subsum of a's remainder-invariant summands",
@@ -120,9 +114,11 @@ class ResourceCapError(RuntimeError):
 MAX_ANSWER_BITS = 14_000
 # Most big-integer steps a closed form may take, up to two seconds' work in
 # a fresh process (Python 3.11, shared 2-vCPU machine): near the cap,
-# classify 'w^3' --n 109 --cap 200 takes 0.7 s and types product
-# --count-only over 1150 ones 1.6-1.7 s.  classify 'w^214' --n 5 needs
-# about 1.26e6 steps for the power rule and takes 0.5-0.7 s.
+# classify 'w^3' --n 109 --cap 200 takes 0.2 s and types product
+# --count-only over 1150 ones 1.3-1.5 s.  classify 'w^214' --n 5 is
+# predicted at about 1.26e6 power-rule steps and takes 0.3 s.  The power
+# rule's prediction, sum_{j <= n} (j*d)^2 / 2, is a loose upper bound on
+# its one Horner pass of (n*d)^2 / 2 subtractions.
 MAX_STEPS = 2_000_000
 # Most objects a witness report may list: its palette's types plus the
 # embeddings of every instance, a few seconds' work.
@@ -363,7 +359,32 @@ def bound_pow(n: int, m: int, table: Sequence[int]) -> int:
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     _check_table(table, n * m)
-    return _by_rank(table, n * m, lambda y: comb(y**m, n))
+    return _power_table(table, m, n)[n]
+
+
+def _power_table(table: Sequence[int], d: int, max_rank: int) -> tuple:
+    """(1, bound_pow(1, d, table), ..., bound_pow(max_rank, d, table)).
+
+    C(y^d, j) is a polynomial of degree j*d in y, so its forward differences
+    past rank j*d vanish, and one W over ranks up to max_rank*d serves every
+    j: rank j is sum_{y <= max_rank*d} C(y^d, j) * W[y].  The counts come
+    from the rank before, C(N, j) = C(N, j - 1) * (N - j + 1) / j.  Refusals
+    are bound_pow's, rank by rank.
+    """
+    if max_rank < 1:
+        return (1,)
+    if d < 1:
+        raise ValueError("need n >= 1 and m >= 1")
+    for j in range(1, max_rank + 1):
+        # a short table fails at the first rank it misses
+        _check_table(table, j * d)
+    w = _weights(table, max_rank * d)
+    sizes = [y**d for y in range(len(w))]
+    counts, out = sizes, [1, sum(map(mul, sizes, w))]  # C(y^d, 1) = y^d
+    for j in range(2, max_rank + 1):
+        counts = [c * (size - j + 1) // j for c, size in zip(counts, sizes)]
+        out.append(sum(map(mul, counts, w)))
+    return tuple(out)
 
 
 def _by_rank(table: Sequence[int], top: int, count: Callable[[int], int]) -> int:
@@ -371,17 +392,24 @@ def _by_rank(table: Sequence[int], top: int, count: Callable[[int], int]) -> int
     y labels, some unused, and the r-th forward difference D^r count(0) =
     sum_i (-1)^i C(r, i) count(r - i) keeps those using all r.
 
-    D = E - 1 for the shift E, so the sum is sum_{y <= top} count(y) * W[y],
-    with W[y] the coefficient of x^y in sum_r table[r] * (x - 1)^r.  One
-    Horner pass builds W in about (top + 1)^2 / 2 subtractions on the
-    table's entries, in the pipeline much smaller than the counts; count is
-    called once per y <= top, in order, and each count enters one product.
+    D = E - 1 for the shift E, so the sum is sum_{y <= top} count(y) * W[y]
+    with W from :func:`_weights`; count is called once per y <= top, in
+    order, and each count enters one product.
+    """
+    return sum(map(mul, map(count, range(top + 1)), _weights(table, top)))
+
+
+def _weights(table: Sequence[int], top: int) -> list:
+    """W[y], the coefficient of x^y in sum_{r <= top} table[r] * (x - 1)^r.
+
+    One Horner pass builds W in about (top + 1)^2 / 2 subtractions on the
+    table's entries, in the pipeline much smaller than the counts.
     """
     w = [table[top]]
     for entry in reversed(table[:top]):
         # W <- W * (x - 1) + entry
         w = [entry - w[0], *map(sub, w, w[1:]), w[-1]]
-    return sum(map(mul, map(count, range(top + 1)), w))
+    return w
 
 
 def _check_table(table: Sequence[int], upto: int):
@@ -468,8 +496,9 @@ def _pipeline(a: Ordinal, n: int):
 
     The answer is at most (m + 1)^R * C(R^d, n) * (tail + 1)^n, which also
     bounds every table on the way, so that size is checked before any step.
-    So is the power rule's work: one difference table per rank j <= n, of
-    about (j*d)^2 / 2 subtractions.
+    So is the power rule's work, predicted as sum_{j <= n} (j*d)^2 / 2
+    subtractions: a loose upper bound on its one Horner pass over ranks up
+    to R, about R^2 / 2 of them.
     """
     core = Ordinal(tuple((e, c) for e, c in a.terms if not e.is_zero))
     tail = a.terms[-1][1] if a.terms[-1][0].is_zero else 0

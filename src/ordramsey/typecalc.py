@@ -197,10 +197,11 @@ def _block_sequences(p: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], ...]
     nonempty level sets using level l exactly p[l] times; blocks then name
     their indices by how often each level was used before.  Level sets are
     tried in ascending bitmask order, which pins the output order; only
-    sets of levels with p[l] > 0 can occur, so only those are built.
+    sets of levels with p[l] > 0 can occur, so only those are built.  The
+    search keeps its own stack, so a long listing needs no deep recursion.
     """
     m = len(p)
-    starts = [sum(p[:l]) for l in range(m)]
+    starts = list(itertools.accumulate(p, initial=0))  # starts[l] = sum(p[:l])
     live = [l for l in range(m) if p[l]]
     # bit i stands for live[i], which keeps the ascending order of the masks
     masks = [
@@ -208,25 +209,33 @@ def _block_sequences(p: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], ...]
         for mask in range(1, 1 << len(live))
     ]
 
-    def rec(remaining, used, acc):
-        if all(r == 0 for r in remaining):
-            yield tuple(acc)
-            return
-        for levels in masks:
-            if any(remaining[l] == 0 for l in levels):
-                continue
-            block = tuple(starts[l] + used[l] for l in levels)
+    remaining, used = list(p), [0] * m
+    blocks, chosen = [], []  # chosen[k] indexes the level set of blocks[k]
+    nxt = 0  # the next level set to try after blocks
+    while True:
+        if not any(remaining):
+            yield tuple(blocks)
+            nxt = len(masks)  # nothing is left to place, so backtrack
+        while nxt < len(masks) and any(remaining[l] == 0 for l in masks[nxt]):
+            nxt += 1
+        if nxt < len(masks):
+            levels = masks[nxt]
+            # levels ascend, and so do their next free indices
+            blocks.append(tuple(starts[l] + used[l] for l in levels))
             for l in levels:
                 remaining[l] -= 1
                 used[l] += 1
-            acc.append(tuple(sorted(block)))
-            yield from rec(remaining, used, acc)
-            acc.pop()
-            for l in levels:
+            chosen.append(nxt)
+            nxt = 0
+        elif chosen:
+            nxt = chosen.pop()
+            blocks.pop()
+            for l in masks[nxt]:
                 remaining[l] += 1
                 used[l] -= 1
-
-    yield from rec(list(p), [0] * m, [])
+            nxt += 1
+        else:
+            return
 
 
 def enum_mult(n: int, m: int) -> tuple:
@@ -460,12 +469,14 @@ def reconstruct_power(
 
 
 def _positive_compositions(n: int) -> tuple:
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(1, n + 1):
-        out.extend((first, *rest) for rest in _positive_compositions(n - first))
-    return tuple(out)
+    """Compositions of n into positive parts: first part ascending, then
+    the rest in the same order, built up from the compositions of k < n."""
+    comps = [((),)]
+    for k in range(1, n + 1):
+        comps.append(
+            tuple((first, *rest) for first in range(1, k + 1) for rest in comps[k - first])
+        )
+    return comps[n]
 
 
 @lru_cache(maxsize=None)

@@ -225,13 +225,24 @@ TOO_MUCH_WORK = [
     # 1200 * 1200 binomials and 1200^2 / 2 subtractions, about 2.16e6 steps
     ("types", "product", "--parts", ",".join(["1"] * 1200), "--count-only"),
     ("types", "power", "--n", "100000", "--m", "7", "--count-only"),
-    # 6^12 records to list
+    # 6^12, 478 333 and 10 681 263 records to list
     ("types", "strict", "--n", "12", "--m", "6"),
-    # one type or coloring each, but listing it recurses past the stack
+    ("types", "mult", "--n", "8", "--m", "4"),
+    ("types", "product", "--parts", "3,3,3,3"),
+]
+
+# one type or coloring each over a thousand points or more
+LONG_LISTINGS = [
+    ("types", "mult", "--n", "990", "--m", "1"),
     ("types", "mult", "--n", "1100", "--m", "1"),
     ("types", "product", "--parts", "1100"),
     ("witness", "product", "--parts", "1100", "--sizes", "1100"),
 ]
+
+
+def deeper(frames, fn):
+    """fn() called ``frames`` Python frames below this one."""
+    return fn() if frames == 0 else deeper(frames - 1, fn)
 
 
 class TestWorkCap:
@@ -244,8 +255,24 @@ class TestWorkCap:
         assert out == ""
         assert err.startswith("resource cap:")
 
+    @pytest.mark.parametrize("argv", LONG_LISTINGS, ids=" ".join)
+    def test_long_listing_needs_no_deep_stack(self, capsys, argv):
+        # the listing keeps its own stack, so the caller's depth does not
+        # change the exit code or the output
+        top = run_cli(capsys, *argv)
+        assert top[0] == EXIT_OK and top[2] == ""
+        assert deeper(100, lambda: run_cli(capsys, *argv)) == top
+
+    def test_long_listing_in_a_fresh_process(self, capsys):
+        argv = LONG_LISTINGS[0]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordramsey", *argv], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == EXIT_OK
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+
     def test_power_rule_budget_admits_the_answer_cap(self):
-        # w^214 at n = 5 sits at the answer cap, about 1.26e6 subtractions
+        # w^214 at n = 5 sits at the answer cap, about 1.26e6 predicted subtractions
         _pipeline(parse("w^214"), 5)
         _pipeline(parse("w^2"), 140)
         with pytest.raises(ResourceCapError):

@@ -23,6 +23,7 @@ from ordramsey.degrees import (
     FINITE_UNBOUNDED,
     INFINITE,
     UPPER_BOUND,
+    RULES,
     DegreeResult,
     ResourceCapError,
     TraceStep,
@@ -235,6 +236,80 @@ class TestBoundRules:
             product_bound((0,), (1,))
 
 
+def power_rule(table, d, max_rank):
+    return RULES["bound-pow"].compute({"d": d, "max_rank": max_rank}, table)
+
+
+def literal_power_table(table, d, max_rank):
+    """(1, then rank j's literal double sum over ranks up to j*d)."""
+    return (1,) + tuple(
+        by_rank_double_sum(table, j * d, lambda y, j=j: binom(y**d, j))
+        for j in range(1, max_rank + 1)
+    )
+
+
+def raised(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestPowerTable:
+    """The bound-pow step builds one W for every rank it returns."""
+
+    def test_pipeline_tables_match_literal_sums(self):
+        # the tables w*m + 1 hands the power rule, at every max_rank up to 6
+        for d in range(1, 9):
+            for m in range(1, 10):
+                top = 6 * d
+                table = (1,) + tuple(m**r + m ** (r - 1) for r in range(1, top + 1))
+                literal = literal_power_table(table, d, 6)
+                for max_rank in range(7):
+                    shared = power_rule(table[: max_rank * d + 1], d, max_rank)
+                    assert shared == literal[: max_rank + 1]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=3),
+        st.data(),
+    )
+    def test_any_table_matches_literal_sums(self, d, max_rank, extra, data):
+        # entries past max_rank*d, signs and gaps change nothing
+        size = max_rank * d + 1 + extra
+        table = tuple(data.draw(st.lists(st.integers(-(10**12), 10**12), min_size=size, max_size=size)))
+        shared = power_rule(table, d, max_rank)
+        assert shared == literal_power_table(table, d, max_rank)
+        if max_rank:
+            assert bound_pow(max_rank, d, table) == shared[-1]
+
+    def test_refusals_match_bound_pow(self):
+        # no rank, no check; then d; then the first rank the table misses
+        for d in (-1, 0, 3):
+            assert power_rule((), d, 0) == power_rule(None, d, -2) == (1,)
+        for d in (-1, 0):
+            assert raised(power_rule, (1,) * 9, d, 2) == "need n >= 1 and m >= 1"
+            assert raised(bound_pow, 2, d, (1,) * 9) == "need n >= 1 and m >= 1"
+        for length in range(7):
+            first = max(1, -(-length // 2))
+            message = f"table must cover 0..{2 * first}, got length {length}"
+            assert raised(power_rule, (1,) * length, 2, 3) == message
+        # bound_pow names its own rank's reach
+        assert raised(bound_pow, 3, 2, (1,) * 3) == "table must cover 0..6, got length 3"
+
+    def test_replay_rejects_tampered_rank(self):
+        r = classify(parse("w^2*3 + 1"), 3)
+        at = [s.rule for s in r.trace].index("bound-pow")
+        step = r.trace[at]
+        # rank 1 never reaches the answer, but replay checks every entry
+        value = (step.value[0], step.value[1] + 1, *step.value[2:])
+        trace = r.trace[:at] + (TraceStep(step.rule, step.inputs, value),) + r.trace[at + 1 :]
+        assert replay_trace(r) == r.value
+        with pytest.raises(ValueError, match="step bound-pow replayed to"):
+            replay_trace(DegreeResult(r.kind, r.value, trace))
+
+
 class TestClassifier:
     def test_zero_domain(self):
         r = classify(parse("w^3 + 5"), 0)
@@ -296,16 +371,17 @@ class TestClassifier:
 
     def test_pipeline_work_per_rule(self, monkeypatch):
         # the tail rule's table step is one pass, not a bound_add per rank;
-        # the power rule calls bound_pow once per rank 1..n
-        calls = {"bound_add": 0, "bound_pow": 0}
+        # the power rule builds one W for all ranks 1..n and calls no bound_pow
+        calls = {"bound_add": 0, "bound_pow": 0, "_weights": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(degrees, name)):
                 calls[_name] += 1
                 return _fn(*args)
 
             monkeypatch.setattr(degrees, name, counted)
-        classify(parse("w^6*9 + 5"), 5)
-        assert calls == {"bound_add": 1, "bound_pow": 5}
+        result = classify(parse("w^6*9 + 5"), 5)
+        assert [step.rule for step in result.trace].count("bound-pow") == 1
+        assert calls == {"bound_add": 1, "bound_pow": 0, "_weights": 1}
 
     def test_large_exponent_finishes(self):
         # 40^4 trees by listing; the closed form answers well inside the timeout

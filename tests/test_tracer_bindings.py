@@ -31,6 +31,8 @@ argvs = (
 )
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [ordramsey.cli.main(argv) for argv in argvs]
+# the pipeline's power rule makes one table and calls no bound_pow
+ordramsey.degrees.bound_pow(2, 2, (1,) * 5)
 summary = tracer.summary()
 print(json.dumps({
     "codes": codes,
@@ -50,7 +52,8 @@ def test_tracer_installs_and_cli_calls_through_wrappers():
     got = json.loads(proc.stdout)
     assert got["codes"] == [0, 0, 0, 0]
     assert got["caches"] == got["cache_names"]
-    # the CLI's handlers and family tables reach each wrapped name
+    # the CLI's handlers and family tables reach each wrapped name, and
+    # bound_pow is reached at its module binding
     for span in (
         "ordinal.parse",
         "degrees.classify",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import time
@@ -155,6 +156,20 @@ class TestMultEnumeration:
             assert len(set(strict)) == m**n
             assert all(t.is_strict for t in strict)
             assert set(strict) <= set(enum_mult(n, m))
+
+    def test_listing_order_is_pinned(self):
+        # every mult listing with n <= 4, m <= 3 and every product listing
+        # of up to three parts, each at most 3, summing to at most 6
+        listings = [enum_mult(n, m) for n in range(5) for m in range(4)]
+        for k in (1, 2, 3):
+            for parts in itertools.product((1, 2, 3), repeat=k):
+                if sum(parts) <= 6:
+                    listings.append(enum_product_types(parts))
+        pinned = repr([[(t.p, t.blocks) for t in listing] for listing in listings])
+        assert sum(map(len, listings)) == 2873
+        assert hashlib.sha256(pinned.encode()).hexdigest() == (
+            "e378332a9805d0d855bbd629f0d51ef1820d0bf23055c47418328d0e7ef27d77"
+        )
 
     def test_product_type_counts(self):
         assert len(enum_product_types((1, 1))) == 3

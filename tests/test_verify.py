@@ -17,6 +17,20 @@ from ordramsey.verify import (
 )
 
 
+# a distinct wrong count per closed form
+SENTINELS = {"additive": -1, "strict": -2, "product": -3, "power": -4, "mult": -5}
+
+
+@pytest.fixture(scope="module")
+def sentinel_counts():
+    """check_type_counts, run once with each count_* returning its family's
+    sentinel."""
+    with pytest.MonkeyPatch.context() as mp:
+        for family, sentinel in SENTINELS.items():
+            mp.setattr(f"ordramsey.verify.count_{family}", lambda *args, s=sentinel: s)
+        return check_type_counts()
+
+
 class TestReport:
     def test_status_assignment(self):
         r = Report()
@@ -106,14 +120,19 @@ class TestCheckSuites:
             "mult-count": 16,
         }
 
-    @pytest.mark.parametrize("family", ["additive", "strict", "product", "power", "mult"])
-    def test_counts_come_from_the_closed_forms(self, monkeypatch, family):
-        # a wrong closed form must show as a mismatch on every line it feeds
-        monkeypatch.setattr(f"ordramsey.verify.count_{family}", lambda *args: -1)
-        report = check_type_counts()
+    @pytest.mark.parametrize("family", SENTINELS)
+    def test_counts_come_from_the_closed_forms(self, sentinel_counts, family):
+        # a wrong closed form must show as a mismatch on every line it feeds,
+        # and on no line another closed form feeds
+        report, sentinel = sentinel_counts, SENTINELS[family]
         names = {f"{family}-count"} | ({"product-count-all-ones"} if family == "product" else set())
-        assert {e.name for e in report.mismatches} == names
-        assert all(e.status == MISMATCH for e in report.entries if e.name in names)
+        assert {e.name for e in report.entries if e.expected == sentinel} == names
+        assert all(
+            (e.expected, e.status) == (sentinel, MISMATCH) for e in report.entries if e.name in names
+        )
+        assert {e.name for e in report.mismatches} == {
+            f"{f}-count" for f in SENTINELS
+        } | {"product-count-all-ones"}
 
 
 class TestRunAll:

@@ -64,7 +64,7 @@ from .witness import (
     realized_colors,
     spread,
 )
-from .verify import Report, finite_degree_oracle, run_all
+from .verify import Report, run_all
 
 __version__ = "0.1.0"
 
@@ -122,6 +122,5 @@ __all__ = [
     "realized_colors",
     "spread",
     "Report",
-    "finite_degree_oracle",
     "run_all",
 ]

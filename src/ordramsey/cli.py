@@ -92,10 +92,6 @@ def _n_m(args):
     return args.n, args.m
 
 
-def _tree_json(tree):
-    return [_tree_json(child) for child in tree]
-
-
 def _strict_records(n, m):
     """m^n strict records; each carries its word, so m must fit in digits."""
     count = count_strict(n, m)
@@ -145,7 +141,7 @@ _TYPES = {
         lambda args: _strict_records(*_n_m(args)),
     ),
     "power": (
-        lambda args: [_tree_json(t) for t in enum_power(*_n_m(args))],
+        lambda args: list(enum_power(*_n_m(args))),
         lambda args: count_power(*_n_m(args)),
     ),
     "product": (
@@ -327,8 +323,8 @@ def main(argv=None) -> int:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except RecursionError:
-        # listings recurse once per domain point, so a long enough domain
-        # runs out of stack before any cap on the listing's size applies
+        # _compositions and enum_power recurse once per level, so enough
+        # levels run out of stack before any cap on the listing's size applies
         print("resource cap: the request recurses too deeply", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:

@@ -2,9 +2,10 @@
 
 Everything here recomputes results by a second, independent route:
 type counts against the closed-form counters of :mod:`ordramsey.degrees`,
-extraction against reconstruction, the closed-form rank counts against
-explicit type enumeration, and the finite-chain degree convention against
-an exhaustive coloring search.  Checks land in a :class:`Report`.
+extraction against reconstruction, the closed-form rank counts and the
+product, power and tail rules against literal sums over enumerated types,
+and the finite-chain degree convention against the subchains listed
+explicitly.  Checks land in a :class:`Report`.
 """
 
 from __future__ import annotations
@@ -17,13 +18,15 @@ from .chains import (
     Leveled,
     Power,
     Signed,
+    SumTail,
     enumerate_embeddings,
     reverse_transport,
     reverse_transport_inverse,
 )
 from .degrees import (
-    ResourceCapError,
+    RULES,
     bound_pow,
+    classify,
     count_additive,
     count_mult,
     count_power,
@@ -31,9 +34,9 @@ from .degrees import (
     count_strict,
     product_bound,
 )
+from .ordinal import Ordinal
 from .typecalc import (
     MultiplicativeType,
-    binom,
     enum_additive,
     enum_mult,
     enum_power,
@@ -197,9 +200,7 @@ def check_type_counts() -> Report:
         for m in range(1, 4):
             codomain = Leveled((tuple(range(n if n else 1)),) * m)
             scanned = {mult_type(f) for f in enumerate_embeddings(n, codomain)}
-            types = set(mult[n, m])
-            report.add("mult-enum-vs-scan", {"n": n, "m": m}, len(types), len(scanned))
-            report.add("mult-enum-set", {"n": n, "m": m}, True, scanned == types)
+            report.add("mult-enum-set", {"n": n, "m": m}, True, scanned == set(mult[n, m]))
     for n in range(1, 4):
         for m in range(1, 4):
             codomain = Power(tuple(range(n)), m)
@@ -219,8 +220,9 @@ def _tables(top: int):
 
 
 def check_product_bound() -> Report:
-    """The rank-count product rule and the closed-form power rule (n, d <= 4)
-    against literal sums over enumerated types and trees, for two tables."""
+    """The rank-count product rule, the closed-form power rule (n, d <= 4) and
+    the tail rule (n, m <= 3, and its table step to rank 4) against literal
+    sums over enumerated types and trees, for two tables."""
     report = Report()
     for parts in ((1, 1), (2,), (1, 1, 1), (2, 1), (1, 2)):
         for label, table in _tables(sum(parts)):
@@ -228,14 +230,30 @@ def check_product_bound() -> Report:
             report.add(
                 "product-bound",
                 {"parts": parts, "table": label},
-                literal,
                 product_bound(parts, table),
+                literal,
             )
     for n, d in itertools.product(range(1, 5), repeat=2):
         for label, table in _tables(n * d):
             literal = sum(product_bound(out_degrees(t), table) for t in enum_power(n, d))
             params = {"n": n, "d": d, "table": label}
             report.add("power-bound", params, bound_pow(n, d, table), literal)
+
+    def tail_literal(n, m, table):
+        # an additive type hitting j tail points leaves n - j for the base
+        return sum(table[n - len(t.tau)] for t in enum_additive(n, m))
+
+    tail_rule = RULES["bound-add"].compute
+    for n, m in itertools.product(range(1, 4), repeat=2):
+        for label, table in _tables(n):
+            formula = tail_rule({"m": m, "n": n}, table)
+            params = {"n": n, "m": m, "table": label}
+            report.add("tail-bound", params, formula, tail_literal(n, m, table))
+    for m in range(1, 4):
+        for label, table in _tables(4):
+            formula = tail_rule({"m": m, "max_rank": 4}, table)
+            literal = tuple(tail_literal(r, m, table) for r in range(5))
+            report.add("tail-bound", {"m": m, "max_rank": 4, "table": label}, formula, literal)
     return report
 
 
@@ -323,39 +341,20 @@ def check_reference_instances() -> Report:
     return report
 
 
-# -- the finite-chain coloring oracle --------------------------------
-
-
-def finite_degree_oracle(c: int, n: int, k: int) -> int:
-    """Least t such that every k-coloring of the n-subchains of a c-chain
-    has a copy of the chain realizing at most t colors.
-
-    A finite chain has exactly one copy of itself, so this searches every
-    coloring exhaustively and reports the worst realized count.  Caps:
-    c <= 6, n <= 3, and the coloring space k^C(c, n) must fit under
-    300 000 (which is what keeps k small in practice).
-    """
-    if not (1 <= n <= 3 and 0 <= c <= 6 and k >= 1):
-        raise ResourceCapError(f"oracle caps exceeded: c={c}, n={n}, k={k}")
-    subchains = binom(c, n)
-    space = k**subchains
-    if space > 300_000:
-        raise ResourceCapError(f"coloring space {k}^{subchains} exceeds 300000")
-    colorings = itertools.product(range(k), repeat=subchains)
-    return max(map(len, map(set, colorings)))
+# -- the finite-chain convention -------------------------------------
 
 
 def check_finite_convention() -> Report:
-    """The oracle agrees with min(k, C(c, n)) on every desk-scale case,
-    supporting the finite-chain degree convention as the large-k limit."""
+    """T(n, c) as classify reports it for a finite chain, C(c, n) by the
+    convention, against the n-subchains of a c-chain listed explicitly,
+    for c <= 6 and 1 <= n <= min(c, 3)."""
     report = Report()
-    for c, n, k in ((4, 2, 2), (5, 2, 3), (3, 3, 2), (4, 1, 3), (6, 2, 2), (3, 3, 5)):
-        report.add(
-            "finite-degree-oracle",
-            {"c": c, "n": n, "k": k},
-            min(k, binom(c, n)),
-            finite_degree_oracle(c, n, k),
-        )
+    for c in range(1, 7):
+        chain = SumTail(tuple(range(c)), 0)
+        for n in range(1, min(c, 3) + 1):
+            formula = classify(Ordinal.from_int(c), n).value
+            listed = sum(1 for _ in enumerate_embeddings(n, chain))
+            report.add("finite-chain", {"c": c, "n": n}, formula, listed)
     return report
 
 

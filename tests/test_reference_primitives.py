@@ -13,9 +13,8 @@
 * The power primitives go through extraction and reconstruction both ways,
   the tree listing and leaf paths; strict words through ``mult_type`` of
   the embedding that spells them; a product witness's colour through
-  ``mult_points``; the finite-chain oracle against min(k, C(c, n)).  Frozen
-  digests pin the tree listing and images no embedding has, and every
-  refusal is pinned by its message.
+  ``mult_points``.  Frozen digests pin the tree listing and images no
+  embedding has, and every refusal is pinned by its message.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from hypothesis import strategies as st
 
 from ordramsey.chains import Embedding, Leveled, Power, _as_chain, enumerate_embeddings
 from ordramsey.degrees import (
-    ResourceCapError,
     _tail_rule,
     bound_add,
     bound_mul,
@@ -69,7 +67,7 @@ from ordramsey.typecalc import (
     tree_height,
     word_to_strict,
 )
-from ordramsey.verify import REF_POWER_TREE, finite_degree_oracle
+from ordramsey.verify import REF_POWER_TREE
 from ordramsey.witness import ProductWitness
 from test_degrees import by_rank_double_sum, literal_differences
 from test_ordinal import cnf_ordinals
@@ -227,9 +225,9 @@ def digest(outcomes):
     return hashlib.sha256(repr(named).encode()).hexdigest()
 
 
-def fails_with(message, fn, *args, error=ValueError):
-    """fn(*args) raises ``error`` with exactly this message."""
-    with pytest.raises(error) as info:
+def fails_with(message, fn, *args):
+    """fn(*args) raises ValueError with exactly this message."""
+    with pytest.raises(ValueError) as info:
         fn(*args)
     assert str(info.value) == message
 
@@ -508,22 +506,6 @@ class TestChains:
             fails_with(expected, _as_chain, values)
         else:
             assert _as_chain(values) == expected
-
-
-class TestOracle:
-    def test_finite_degree_oracle(self):
-        # a c-chain is its only copy, so the worst colouring shows
-        # min(k, C(c, n)) colours; the caps refuse with their sizes
-        for c, n, k in itertools.product(range(8), range(5), range(5)):
-            subchains = binom(c, n)
-            if not (1 <= n <= 3 and c <= 6 and k >= 1):
-                message = f"oracle caps exceeded: c={c}, n={n}, k={k}"
-            elif k**subchains > 300_000:
-                message = f"coloring space {k}^{subchains} exceeds 300000"
-            else:
-                assert finite_degree_oracle(c, n, k) == min(k, subchains)
-                continue
-            fails_with(message, finite_degree_oracle, c, n, k, error=ResourceCapError)
 
 
 class TestCounts:

@@ -22,6 +22,7 @@ from tracer import CACHES, Tracer
 
 tracer = Tracer().install()
 import ordramsey.cli
+import ordramsey.verify
 
 argvs = (
     ["classify", "w^2 + 1", "--n", "2"],
@@ -33,9 +34,11 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [ordramsey.cli.main(argv) for argv in argvs]
 # the pipeline's power rule makes one table and calls no bound_pow
 ordramsey.degrees.bound_pow(2, 2, (1,) * 5)
+finite_ok = ordramsey.verify.check_finite_convention().ok
 summary = tracer.summary()
 print(json.dumps({
     "codes": codes,
+    "finite_ok": finite_ok,
     "spans": sorted(summary["spans"]),
     "caches": sorted(summary["caches"]),
     "cache_names": sorted(name for name, _, _ in CACHES),
@@ -51,9 +54,11 @@ def test_tracer_installs_and_cli_calls_through_wrappers():
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["codes"] == [0, 0, 0, 0]
+    assert got["finite_ok"]
     assert got["caches"] == got["cache_names"]
     # the CLI's handlers and family tables reach each wrapped name, and
-    # bound_pow is reached at its module binding
+    # bound_pow and the finite-chain check are reached at their module
+    # bindings
     for span in (
         "ordinal.parse",
         "degrees.classify",
@@ -62,5 +67,6 @@ def test_tracer_installs_and_cli_calls_through_wrappers():
         "degrees.bound_pow",
         "typecalc.enum_strict",
         "witness.realized_colors",
+        "verify.finite_convention",
     ):
         assert span in got["spans"]

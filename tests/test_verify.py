@@ -1,10 +1,15 @@
-"""Report plumbing, the frozen reference fixtures, and the finite oracle."""
+"""Report plumbing, the frozen reference fixtures, and the second routes
+each check line runs."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+
 import pytest
 
-from ordramsey.degrees import ResourceCapError, count_product
+from ordramsey import cli, verify
+from ordramsey.degrees import RULES, Rule, count_product
 from ordramsey.verify import (
     MISMATCH,
     OK,
@@ -13,7 +18,6 @@ from ordramsey.verify import (
     check_product_bound,
     check_reference_instances,
     check_type_counts,
-    finite_degree_oracle,
 )
 
 
@@ -57,23 +61,15 @@ class TestReport:
 
 
 class TestFiniteOracle:
-    @pytest.mark.parametrize(
-        "c,n,k,value", [(4, 2, 2, 2), (5, 2, 3, 3), (3, 3, 5, 1), (4, 1, 3, 3)]
-    )
-    def test_frozen_values(self, c, n, k, value):
-        assert finite_degree_oracle(c, n, k) == value
-
-    def test_caps(self):
-        with pytest.raises(ResourceCapError):
-            finite_degree_oracle(7, 2, 2)
-        with pytest.raises(ResourceCapError):
-            finite_degree_oracle(4, 4, 2)
-        with pytest.raises(ResourceCapError):
-            finite_degree_oracle(5, 2, 10)  # 10^10 colorings
-
     def test_convention_suite_green(self):
+        # classify's value for a finite chain against its listed subchains
         report = check_finite_convention()
         assert report.ok
+        assert [(e.name, e.params["c"], e.params["n"], e.actual) for e in report.entries] == [
+            ("finite-chain", c, n, value)
+            for c, row in enumerate(((1,), (2, 1), (3, 3, 1), (4, 6, 4), (5, 10, 10), (6, 15, 20)), 1)
+            for n, value in enumerate(row, 1)
+        ]
 
 
 class TestCheckSuites:
@@ -85,6 +81,32 @@ class TestCheckSuites:
     def test_product_bound_double_route(self):
         report = check_product_bound()
         assert report.ok
+
+    def test_product_bound_mismatch_names_the_formula(self, monkeypatch):
+        # the rule's value is the formula, the literal sum the enumeration
+        right = verify.product_bound
+        monkeypatch.setattr(verify, "product_bound", lambda parts, table: right(parts, table) + 1000)
+        lines = [e.line() for e in check_product_bound().entries if e.name == "product-bound"]
+        assert lines[0] == "[mismatch] product-bound parts=(1, 1) table=ones: enumerated 3, formula 1003"
+
+    @pytest.mark.parametrize(
+        "rule,name", [("bound-add", "tail-bound"), ("finite-chain-convention", "finite-chain")]
+    )
+    def test_a_wrong_rule_fails_only_its_lines(self, monkeypatch, verify_sweep, rule, name):
+        statement, compute = RULES[rule]
+
+        def off_by_one(inputs, table):
+            value = compute(inputs, table)
+            return tuple(v + 1 for v in value) if isinstance(value, tuple) else value + 1
+
+        monkeypatch.setitem(RULES, rule, Rule(statement, off_by_one))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["verify"]) == cli.EXIT_FAILED
+        mismatched = [line for line in out.getvalue().splitlines() if line.startswith("[mismatch]")]
+        fed = [e for e in verify_sweep.report.entries if e.name == name]
+        assert len(mismatched) == len(fed) > 0
+        assert all(line.startswith(f"[mismatch] {name} ") for line in mismatched)
 
     def test_roundtrips_small(self, verify_sweep):
         report = verify_sweep.report
@@ -139,6 +161,12 @@ class TestRunAll:
     def test_default_sweep_summary(self, verify_sweep):
         report = verify_sweep.report
         assert report.ok
-        assert len(report.entries) == 200
-        assert sum(e.status == OK for e in report.entries) == 200
-        assert report.lines()[-1] == "200 checks: 200 ok, 0 flagged, 0 mismatched"
+        assert len(report.entries) == 221
+        assert sum(e.status == OK for e in report.entries) == 221
+        assert report.lines()[-1] == "221 checks: 221 ok, 0 flagged, 0 mismatched"
+
+    def test_second_route_lines(self, verify_sweep):
+        names = [e.name for e in verify_sweep.report.entries]
+        counts = {name: names.count(name) for name in ("tail-bound", "finite-chain")}
+        assert counts == {"tail-bound": 24, "finite-chain": 15}
+        assert "finite-degree-oracle" not in names and "mult-enum-vs-scan" not in names

@@ -35,10 +35,14 @@ MINUS = "-"
 
 def _as_chain(values) -> Chain:
     values = tuple(map(int, values))
-    if values and min(values) < 0:
-        raise ValueError("chain labels must be natural numbers")
+    # a negative label is reported before a break in the order; an
+    # increasing chain can only start with one
     if any(map(ge, values, values[1:])):
+        if min(values) < 0:
+            raise ValueError("chain labels must be natural numbers")
         raise ValueError("chain labels must be strictly increasing")
+    if values and values[0] < 0:
+        raise ValueError("chain labels must be natural numbers")
     return values
 
 
@@ -232,7 +236,7 @@ def reverse_transport_inverse(g: Embedding, signed: Signed) -> Embedding:
     """Inverse of :func:`reverse_transport` for the given Signed codomain."""
     if not isinstance(g.codomain, Leveled):
         raise TypeError("expected an embedding into Leveled")
-    if g.codomain != leveled_of(signed):
+    if g.codomain.levels != tuple(part for part, _ in signed.parts):
         raise ValueError("codomain does not match the signed parts")
     images = tuple(_transport_images(g.images, signed))
     return Embedding(signed, images)

@@ -258,15 +258,17 @@ def _strict_from_letters(letters: Tuple[int, ...], m: int) -> MultiplicativeType
     for letter in letters:
         p[letter] += 1
     # the next free index on each level, starting where the level starts
-    free, start = [], 0
-    for count in p:
-        free.append(start)
-        start += count
+    free = list(itertools.accumulate(p, initial=0))
     blocks = []
     for letter in letters:
         blocks.append((free[letter],))
         free[letter] += 1
-    return MultiplicativeType(p, blocks)
+    # p holds ints and each block is one index, so there is nothing for the
+    # constructor to normalise
+    t = object.__new__(MultiplicativeType)
+    object.__setattr__(t, "p", tuple(p))
+    object.__setattr__(t, "blocks", tuple(blocks))
+    return t
 
 
 def enum_strict(n: int, m: int) -> tuple:
@@ -319,11 +321,13 @@ def check_word_levels(m: int):
 
 def strict_to_word(t: MultiplicativeType) -> str:
     """The word of a strict type: levels read along the value order."""
-    if not t.is_strict:
-        raise ValueError("only strict types have words")
+    try:
+        indices = [i for (i,) in t.blocks]
+    except ValueError:  # a block that is not a single index
+        raise ValueError("only strict types have words") from None
     check_word_levels(t.m)
-    levels = "".join(str(level) * count for level, count in enumerate(t.p))
-    return "".join([levels[i] for (i,) in t.blocks])
+    levels = "".join([str(level) * count for level, count in enumerate(t.p)])
+    return "".join([levels[i] for i in indices])
 
 
 def word_to_strict(word: str, m: int) -> MultiplicativeType:
@@ -345,31 +349,42 @@ def _require_power(f: Embedding) -> Power:
     return f.codomain
 
 
-def _suffix_levels(f: Embedding) -> list:
-    """Per depth 0..m-1, the child label chains of that depth's vertices,
-    left to right.
+def _power_pass(f: Embedding) -> Tuple[Tree, ValTuple]:
+    """The suffix tree shape and the child label chains of an embedding into
+    Power, from one pass over its images.
 
-    One pass over the images: an image sharing its last k coordinates with
-    the image before it adds a child to the open depth-k vertex and opens a
-    new vertex at every depth below that; the first image opens one at
-    every depth, and a repeat (k = m) adds nothing.
+    ``levels[d]`` collects the child label chains of the depth-d vertices,
+    left to right.  An image sharing its last k coordinates with the image
+    before it adds a child to the open depth-k vertex and opens a new vertex
+    at every depth below that; the first image opens one at every depth, and
+    a repeat (k = m) adds nothing.
     """
     m = _require_power(f).m
     levels = [[] for _ in range(m)]
     prev = None
     for image in f.images:
+        down = image[m - 1 :: -1]  # coordinates from the root's children down
         k = 0
         if prev is not None:
-            while k < m and image[m - 1 - k] == prev[m - 1 - k]:
+            while k < m and down[k] == prev[k]:
                 k += 1
             if k == m:
                 continue
-            levels[k][-1].append(image[m - 1 - k])
+            levels[k][-1].append(down[k])
             k += 1
         for depth in range(k, m):
-            levels[depth].append([image[m - 1 - depth]])
-        prev = image
-    return levels
+            levels[depth].append([down[depth]])
+        prev = down
+    # bottom-up: the deepest vertices have only leaves as children, and every
+    # other vertex takes the next len(chain) subtrees of the row below
+    row = [((),) * len(chain) for chain in levels[-1]]
+    for chains in reversed(levels[:-1]):
+        below, row, start = row, [], 0
+        for chain in chains:
+            row.append(tuple(below[start : start + len(chain)]))
+            start += len(chain)
+    tree = row[0] if row else ()
+    return tree, tuple(map(tuple, itertools.chain.from_iterable(levels)))
 
 
 def power_type(f: Embedding) -> Tree:
@@ -378,21 +393,13 @@ def power_type(f: Embedding) -> Tree:
     Vertices at depth d group images sharing their last d coordinates;
     out-degree-1 vertices are kept, so every leaf sits at depth m.
     """
-    levels = _suffix_levels(f)
-    # bottom-up: each vertex takes the next len(chain) subtrees of the row below
-    row = [()] * sum(map(len, levels[-1]))
-    for chains in reversed(levels):
-        below, row, start = row, [], 0
-        for chain in chains:
-            row.append(tuple(below[start : start + len(chain)]))
-            start += len(chain)
-    return row[0] if row else ()
+    return _power_pass(f)[0]
 
 
 def power_val(f: Embedding) -> ValTuple:
     """Child label chains of every internal vertex, top to bottom then left
     to right; () for an embedding with no images."""
-    return tuple(tuple(chain) for chains in _suffix_levels(f) for chain in chains)
+    return _power_pass(f)[1]
 
 
 def internal_nodes(tree: Tree) -> tuple:
@@ -434,7 +441,7 @@ def reconstruct_power(
     nodes, first = ([] if t == () else [t]), []
     for node in nodes:
         first.append(len(nodes))
-        nodes.extend(child for child in node if child != ())
+        nodes += [child for child in node if child != ()]
     if len(v) != len(nodes):
         raise ValueError(
             f"got {len(v)} chains for {len(nodes)} internal vertices"
@@ -449,19 +456,20 @@ def reconstruct_power(
             )
         chains.append(chain)
 
-    images = []
-
-    def walk(i: int, above: tuple):
-        below = first[i]
+    # bottom-up, so each internal child's images are ready before its parent
+    # takes them: a leaf's image is its own label, and an internal child's
+    # images, in their order, each gain its label as their last coordinate
+    images_of = [()] * len(nodes)
+    for i in reversed(range(len(nodes))):
+        images, below = [], first[i]
         for label, child in zip(chains[i], nodes[i]):
             if child == ():
-                images.append((label, *above))
+                images.append((label,))
             else:
-                walk(below, (label, *above))
+                images += [image + (label,) for image in images_of[below]]
                 below += 1
-
-    if nodes:
-        walk(0, ())
+        images_of[i] = images
+    images = images_of[0] if nodes else ()
     if codomain is None:
         base = tuple(sorted({x for img in images for x in img}))
         codomain = Power(base, tree_height(t))

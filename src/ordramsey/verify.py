@@ -37,6 +37,7 @@ from .degrees import (
 from .ordinal import Ordinal
 from .typecalc import (
     MultiplicativeType,
+    _power_pass,
     enum_additive,
     enum_mult,
     enum_power,
@@ -287,7 +288,7 @@ def check_roundtrips() -> Report:
 
     powers = (Power(tuple(range(s)), m) for m in levels for s in sizes)
     trips = (
-        reconstruct_power(power_type(f), power_val(f), codomain) == f
+        reconstruct_power(*_power_pass(f), codomain) == f
         for codomain in powers
         for n in range(1, 4)
         for f in enumerate_embeddings(n, codomain)
@@ -295,10 +296,10 @@ def check_roundtrips() -> Report:
     _tally(report, "power-roundtrip", trips)
 
     words = (
-        ("".join(map(str, word)), m)
+        ("".join(word), m)
         for n in range(7)
         for m in range(1, 5)
-        for word in itertools.product(range(m), repeat=n)
+        for word in itertools.product("0123"[:m], repeat=n)
     )
     trips = (strict_to_word(word_to_strict(text, m)) == text for text, m in words)
     _tally(report, "word-roundtrip", trips)

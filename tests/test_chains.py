@@ -18,6 +18,7 @@ from ordramsey.chains import (
     leveled_of,
     order_points,
     reverse_transport,
+    reverse_transport_inverse,
 )
 
 
@@ -133,3 +134,14 @@ class TestTransport:
         leveled = Leveled(((0, 1),))
         with pytest.raises(TypeError):
             reverse_transport(Embedding(leveled, ((0, 0),)))
+
+    def test_inverse_needs_the_companion_levels(self):
+        signed = Signed((((0, 2, 5), "-"), ((1, 3), "+")))
+        g = Embedding(leveled_of(signed), ((0, 0), (1, 1)))
+        assert reverse_transport_inverse(g, signed).images == ((5, 0), (1, 1))
+        # other chains, fewer parts, or more parts than the signed codomain
+        for levels in (((0, 2, 5), (1, 4)), ((0, 2, 5),), ((0, 2, 5), (1, 3), ())):
+            with pytest.raises(ValueError, match="^codomain does not match the signed parts$"):
+                reverse_transport_inverse(Embedding(Leveled(levels), ()), signed)
+        with pytest.raises(TypeError):
+            reverse_transport_inverse(Embedding(signed, ()), signed)

@@ -51,6 +51,7 @@ from ordramsey.ordinal import (
 )
 from ordramsey.typecalc import (
     MultiplicativeType,
+    _strict_from_letters,
     binom,
     enum_power,
     enum_product_types,
@@ -349,6 +350,45 @@ class TestPower:
         with contextlib.suppress(ValueError):
             reconstruct_power(t, v)
 
+    @pytest.mark.parametrize(
+        "t,v,images",
+        [
+            (((), ((),)), ((3, 7), (5,)), ((3,), (5, 7))),
+            ((((),), ()), ((2, 4), (6,)), ((6, 2), (4,))),
+            (
+                ((), (((), ()), ()), ((),)),
+                ((1, 4, 6), (0, 2), (5,), (3, 8)),
+                ((1,), (3, 0, 4), (8, 0, 4), (2, 4), (5, 6)),
+            ),
+        ],
+        ids=["leaf-first", "leaf-last", "three-depths"],
+    )
+    def test_mixed_depth_reconstruction(self, t, v, images):
+        # leaves at different depths come out depth first, each image its
+        # leaf's labels read upwards
+        assert reconstruct_power(t, v, Power(tuple(range(9)), 3)).images == images
+        f = reconstruct_power(t, check_internal_nodes(t))
+        assert f.images == tuple(p[::-1] for p in leaf_paths(t))
+
+    @pytest.mark.parametrize(
+        "t,v,message",
+        [
+            # the count is refused before any chain is read
+            (((), ((),)), ((2, 1),), "got 1 chains for 2 internal vertices"),
+            (((), ((),)), ((0,), (-1, 1), (3,)), "got 3 chains for 2 internal vertices"),
+            ((((),), ()), (), "got 0 chains for 2 internal vertices"),
+            # then each chain, in internal_nodes order
+            (((), ((),)), ((0,), (1, 0)), "chain (0,) does not fit out-degree 2 at ()"),
+            (((), ((),)), ((0, 1), (1, 0)), NOT_INCREASING),
+            (((), ((),)), ((0, 1), (1, 2)), "chain (1, 2) does not fit out-degree 1 at (1,)"),
+            ((((),), ()), ((0, 1, 2), ("x",)), "chain (0, 1, 2) does not fit out-degree 2 at ()"),
+            ((((),), ()), ((0, 1), ()), "chain () does not fit out-degree 1 at (0,)"),
+        ],
+        ids=[f"refusal{i}" for i in range(8)],
+    )
+    def test_mixed_depth_refusals(self, t, v, message):
+        fails_with(message, reconstruct_power, t, v)
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_tree_listing_and_valid_label_chains(self, m):
         for n in range(1, 5):
@@ -453,6 +493,25 @@ class TestStrict:
                     else:
                         word = "".join(str(level) for _, level in sorted(f.images))
                         assert strict_to_word(t) == word
+
+    def test_strict_records_need_no_normalising(self):
+        # the strict builder skips the constructor's normalisation, so its
+        # records must be those the constructor makes from raw lists
+        for m in range(1, 6):
+            for n in range(6):
+                for letters in itertools.product(range(m), repeat=n):
+                    p = [letters.count(level) for level in range(m)]
+                    blocks = [
+                        [sum(p[:level]) + letters[:j].count(level)]
+                        for j, level in enumerate(letters)
+                    ]
+                    expected = MultiplicativeType(p, blocks)
+                    t = _strict_from_letters(letters, m)
+                    assert t == expected and hash(t) == hash(expected)
+                    assert (t.p, t.blocks) == (expected.p, expected.blocks)
+                    assert type(t.p) is tuple and {type(x) for x in t.p} == {int}
+                    assert type(t.blocks) is tuple
+                    assert all(type(b) is tuple and type(b[0]) is int for b in t.blocks)
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -35,10 +35,16 @@ with contextlib.redirect_stdout(io.StringIO()):
 # the pipeline's power rule makes one table and calls no bound_pow
 ordramsey.degrees.bound_pow(2, 2, (1,) * 5)
 finite_ok = ordramsey.verify.check_finite_convention().ok
+calls = lambda: {name: span["calls"] for name, span in tracer.summary()["spans"].items()}
+before = calls()
+reference_ok = ordramsey.verify.check_reference_instances().ok
+reference_spans = sorted(name for name, n in calls().items() if n > before.get(name, 0))
 summary = tracer.summary()
 print(json.dumps({
     "codes": codes,
     "finite_ok": finite_ok,
+    "reference_ok": reference_ok,
+    "reference_spans": reference_spans,
     "spans": sorted(summary["spans"]),
     "caches": sorted(summary["caches"]),
     "cache_names": sorted(name for name, _, _ in CACHES),
@@ -54,8 +60,11 @@ def test_tracer_installs_and_cli_calls_through_wrappers():
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["codes"] == [0, 0, 0, 0]
-    assert got["finite_ok"]
+    assert got["finite_ok"] and got["reference_ok"]
     assert got["caches"] == got["cache_names"]
+    # verify's reference instances extract and reconstruct through the
+    # names verify binds, so their per-layer metrics are not left at 0
+    assert got["reference_spans"] == ["typecalc.mult_type", "typecalc.reconstruct"]
     # the CLI's handlers and family tables reach each wrapped name, and
     # bound_pow and the finite-chain check are reached at their module
     # bindings

@@ -8,28 +8,15 @@ ordinal below w^w through the additive/multiplicative/power type calculi,
 and reports the infinite/finite split at and above w^w.  Everything is
 exact integer arithmetic at desk scale, with enumeration-backed
 verification in :mod:`ordramsey.verify`.
+
+The names imported below are the top-level API; every other name is
+reached through its module, as in ``ordramsey.degrees.bound_pow``.
 """
 
-from .ordinal import OMEGA, ONE, ZERO, Ordinal, OrdinalSyntaxError, compare, parse
-from .chains import (
-    Embedding,
-    Leveled,
-    Power,
-    Signed,
-    SumTail,
-    enumerate_embeddings,
-    order_points,
-    reverse_transport,
-    reverse_transport_inverse,
-)
+from .ordinal import OMEGA, Ordinal, OrdinalSyntaxError, parse
+from .chains import Embedding, Leveled, Power, SumTail
 from .typecalc import (
-    AdditiveType,
-    MultiplicativeType,
     additive_type,
-    binom,
-    enum_additive,
-    enum_mult,
-    enum_power,
     enum_product_types,
     enum_strict,
     mult_type,
@@ -42,11 +29,7 @@ from .typecalc import (
     word_to_strict,
 )
 from .degrees import (
-    DegreeResult,
     ResourceCapError,
-    bound_add,
-    bound_mul,
-    bound_pow,
     classify,
     exact_integers,
     exact_omega,
@@ -54,7 +37,6 @@ from .degrees import (
     exact_omega_times_m,
     exact_signed,
     pipeline_bound,
-    product_bound,
     replay_trace,
 )
 from .witness import (
@@ -64,63 +46,6 @@ from .witness import (
     realized_colors,
     spread,
 )
-from .verify import Report, run_all
+from .verify import run_all
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "OMEGA",
-    "ONE",
-    "ZERO",
-    "Ordinal",
-    "OrdinalSyntaxError",
-    "compare",
-    "parse",
-    "Embedding",
-    "Leveled",
-    "Power",
-    "Signed",
-    "SumTail",
-    "enumerate_embeddings",
-    "order_points",
-    "reverse_transport",
-    "reverse_transport_inverse",
-    "AdditiveType",
-    "MultiplicativeType",
-    "additive_type",
-    "binom",
-    "enum_additive",
-    "enum_mult",
-    "enum_power",
-    "enum_product_types",
-    "enum_strict",
-    "mult_type",
-    "mult_val",
-    "power_type",
-    "power_val",
-    "reconstruct_mult",
-    "reconstruct_power",
-    "strict_to_word",
-    "word_to_strict",
-    "DegreeResult",
-    "ResourceCapError",
-    "bound_add",
-    "bound_mul",
-    "bound_pow",
-    "classify",
-    "exact_integers",
-    "exact_omega",
-    "exact_omega_plus_m",
-    "exact_omega_times_m",
-    "exact_signed",
-    "pipeline_bound",
-    "product_bound",
-    "replay_trace",
-    "AdditiveWitness",
-    "ProductWitness",
-    "StrictWitness",
-    "realized_colors",
-    "spread",
-    "Report",
-    "run_all",
-]

@@ -135,10 +135,6 @@ class Signed(Record):
             cleaned.append((_as_chain(part), sign))
         object.__setattr__(self, "parts", tuple(cleaned))
 
-    @property
-    def m(self) -> int:
-        return len(self.parts)
-
 
 Codomain = Union[SumTail, Leveled, Power, Signed]
 

@@ -69,26 +69,22 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
-class _UsageError(ValueError):
-    pass
-
-
 def _parse_sizes(text: str, flag: str):
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise _UsageError(f"{flag} expects comma-separated integers")
+        raise ValueError(f"{flag} expects comma-separated integers")
 
 
 def _parts(args):
     if not args.parts:
-        raise _UsageError(f"{args.command} product needs --parts")
+        raise ValueError(f"{args.command} product needs --parts")
     return _parse_sizes(args.parts, "--parts")
 
 
 def _n_m(args):
     if args.n is None or args.m is None:
-        raise _UsageError(f"types {args.family} needs --n and --m")
+        raise ValueError(f"types {args.family} needs --n and --m")
     return args.n, args.m
 
 
@@ -220,7 +216,7 @@ def _cmd_types(args) -> int:
 def _cmd_witness(args) -> int:
     sizes = _parse_sizes(args.sizes, "--sizes")
     if min(sizes) < 0:
-        raise _UsageError("--sizes must be >= 0")
+        raise ValueError("--sizes must be >= 0")
     make_coloring, make_instance, palette, embeddings = _WITNESSES[args.family]
     listed = palette(args) + sum(embeddings(args, u) for u in sizes)
     check_cap(listed, MAX_LISTED, "listed objects")
@@ -328,7 +324,7 @@ def main(argv=None) -> int:
         print("resource cap: the request recurses too deeply", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
-        # covers _UsageError and out-of-scope arguments alike
+        # covers bad flag values and out-of-scope arguments alike
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

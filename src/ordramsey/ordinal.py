@@ -211,14 +211,6 @@ def _sum(terms: Iterable[Tuple[Ordinal, int]]) -> Tuple[Tuple[Ordinal, int], ...
     return tuple(out)
 
 
-def compare(a, b) -> int:
-    """Return -1, 0 or 1 as a is less than, equal to or greater than b."""
-    a, b = _coerce(a), _coerce(b)
-    if a is None or b is None:
-        raise TypeError("compare expects ordinals or ints")
-    return (b < a) - (a < b)
-
-
 def _term_str(e: Ordinal, c: int) -> str:
     if e.is_zero:
         return str(c)

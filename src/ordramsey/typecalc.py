@@ -21,7 +21,7 @@ import itertools
 import math
 from functools import lru_cache
 from operator import sub
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 from .chains import Chain, Embedding, Leveled, Power, Record, SumTail, _as_chain
 
@@ -165,18 +165,9 @@ def mult_points(t: MultiplicativeType, v: Chain) -> tuple:
     return tuple((value_of[i], level_of[i]) for i in range(t.n))
 
 
-def reconstruct_mult(
-    t: MultiplicativeType, v: Chain, codomain: Optional[Leveled] = None
-) -> Embedding:
-    """The embedding with multiplicative type t and value chain v.
-
-    Default codomain puts the whole value chain on every level; pass the
-    original codomain to land round trips on identical records.
-    """
-    images = mult_points(t, v)
-    if codomain is None:
-        codomain = Leveled((tuple(v),) * t.m)
-    return Embedding(codomain, images)
+def reconstruct_mult(t: MultiplicativeType, v: Chain, codomain: Leveled) -> Embedding:
+    """The embedding into codomain with multiplicative type t and value chain v."""
+    return Embedding(codomain, mult_points(t, v))
 
 
 def _compositions(n: int, m: int) -> Iterator[Tuple[int, ...]]:
@@ -420,21 +411,11 @@ def out_degrees(tree: Tree) -> Tuple[int, ...]:
     return tuple(len(node) for _, node in internal_nodes(tree))
 
 
-def tree_height(tree: Tree) -> int:
-    if tree == ():
-        return 0
-    return 1 + tree_height(tree[0])
-
-
-def reconstruct_power(
-    t: Tree, v: ValTuple, codomain: Optional[Power] = None
-) -> Embedding:
-    """The embedding into Power with suffix tree t and label chains v.
+def reconstruct_power(t: Tree, v: ValTuple, codomain: Power) -> Embedding:
+    """The embedding into codomain with suffix tree t and label chains v.
 
     The i-th chain labels the children of the i-th internal vertex in
-    :func:`internal_nodes` order and must match its out-degree.  Default
-    codomain uses all labels as the base and the tree height, so the empty
-    embedding (t = v = ()) needs its codomain passed.
+    :func:`internal_nodes` order and must match its out-degree.
     """
     # internal vertices in internal_nodes order, where the internal children
     # of each take consecutive places, starting at first[i] for vertex i
@@ -470,9 +451,6 @@ def reconstruct_power(
                 below += 1
         images_of[i] = images
     images = images_of[0] if nodes else ()
-    if codomain is None:
-        base = tuple(sorted({x for img in images for x in img}))
-        codomain = Power(base, tree_height(t))
     return Embedding(codomain, tuple(images))
 
 

@@ -1,13 +1,19 @@
-"""Every narrative script under demos/ runs to completion."""
+"""Every narrative script under demos/ runs to completion, and the
+package's top level binds exactly what those scripts and the benchmark
+import from it."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+
+import ordramsey
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -27,3 +33,25 @@ def test_demo_runs(script):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def imported_from_package(script):
+    """The names ``script`` imports with ``from ordramsey import ...``."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(script.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "ordramsey" and not node.level
+        for alias in node.names
+    }
+
+
+def test_top_level_binds_what_demos_and_bench_import():
+    wanted = {"OrdinalSyntaxError", "ResourceCapError"}
+    for script in DEMOS + [ROOT / "bench" / "test_bench.py"]:
+        wanted |= imported_from_package(script)
+    bound = {
+        name
+        for name, value in vars(ordramsey).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert bound == wanted

@@ -31,7 +31,6 @@ from ordramsey.typecalc import (
     reconstruct_mult,
     reconstruct_power,
     strict_to_word,
-    tree_height,
     word_to_strict,
 )
 from ordramsey.verify import (
@@ -48,6 +47,7 @@ from ordramsey.verify import (
     REF_RECON_TYPE,
     REF_RECON_VAL,
 )
+from test_reference_primitives import leaf_paths
 
 
 class TestCounters:
@@ -112,9 +112,10 @@ class TestMultReconstruction:
         assert f"[ok] mult-roundtrip checked={checked}: 0" in verify_sweep.stdout.splitlines()
 
     def test_reconstruction_extracts_back(self):
+        codomain = Leveled(((0, 1, 2),) * 2)
         for t in enum_mult(3, 2):
             v = tuple(range(t.rank))
-            f = reconstruct_mult(t, v)
+            f = reconstruct_mult(t, v, codomain)
             assert mult_type(f) == t
             assert mult_val(f) == v
 
@@ -122,13 +123,14 @@ class TestMultReconstruction:
         # the frozen input is not realizable; the procedure still produces
         # the recorded point assignment verbatim
         assert mult_points(REF_RECON_TYPE, REF_RECON_VAL) == REF_RECON_POINTS
-        f = reconstruct_mult(REF_RECON_TYPE, REF_RECON_VAL)
+        codomain = Leveled((REF_RECON_VAL,) * REF_RECON_TYPE.m)
+        f = reconstruct_mult(REF_RECON_TYPE, REF_RECON_VAL, codomain)
         assert f.images == REF_RECON_POINTS
 
     def test_rank_mismatch(self):
         t = enum_mult(2, 2)[0]
         with pytest.raises(ValueError):
-            reconstruct_mult(t, tuple(range(t.rank + 1)))
+            reconstruct_mult(t, tuple(range(t.rank + 1)), Leveled(((0, 1, 2),) * 2))
 
 
 class TestMultEnumeration:
@@ -228,8 +230,8 @@ class TestPower:
         assert power_val(f) == REF_POWER_VAL
 
     def test_reference_shape(self):
-        assert reconstruct_power(REF_POWER_TREE, REF_POWER_VAL).n == 12
-        assert tree_height(REF_POWER_TREE) == 4
+        assert reconstruct_power(REF_POWER_TREE, REF_POWER_VAL, REF_POWER_CODOMAIN).n == 12
+        assert {len(p) for p in leaf_paths(REF_POWER_TREE)} == {4}
         assert out_degrees(REF_POWER_TREE)[:4] == (3, 2, 3, 2)
 
     def test_roundtrip_exhaustive(self, verify_sweep):
@@ -239,7 +241,7 @@ class TestPower:
         assert f"[ok] power-roundtrip checked={checked}: 0" in verify_sweep.stdout.splitlines()
 
     def test_reconstruction_extracts_back(self):
-        f = reconstruct_power(REF_POWER_TREE, REF_POWER_VAL)
+        f = reconstruct_power(REF_POWER_TREE, REF_POWER_VAL, REF_POWER_CODOMAIN)
         assert power_type(f) == REF_POWER_TREE
         assert power_val(f) == REF_POWER_VAL
         assert f.images == REF_POWER_IMAGES
@@ -258,15 +260,12 @@ class TestPower:
             assert power_val(f) == ()
             assert internal_nodes(()) == ()
             assert reconstruct_power((), (), codomain) == f
-        # with no labels and no height there is no codomain to default to
-        with pytest.raises(ValueError):
-            reconstruct_power((), ())
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            reconstruct_power(REF_POWER_TREE, REF_POWER_VAL[:-1])
+            reconstruct_power(REF_POWER_TREE, REF_POWER_VAL[:-1], REF_POWER_CODOMAIN)
         with pytest.raises(ValueError):
-            reconstruct_power((((),),), ((0, 1), (0,)))
+            reconstruct_power((((),),), ((0, 1), (0,)), Power((0, 1), 2))
 
     def test_enum_counts(self):
         assert len(enum_power(2, 2)) == 2
@@ -286,8 +285,8 @@ class TestPower:
             assert len(set(trees)) == len(trees)
             for t in trees:
                 v = tuple(tuple(range(k)) for k in out_degrees(t))
-                assert reconstruct_power(t, v).n == n
-                assert tree_height(t) == m
+                assert reconstruct_power(t, v, Power(tuple(range(n)), m)).n == n
+                assert {len(p) for p in leaf_paths(t)} == {m}
 
     def test_matches_embedding_scan(self, verify_sweep):
         # verify scans Power(range(n), m) for every n, m <= 3

@@ -198,7 +198,7 @@ def check_embedding(f: Embedding) -> Embedding:
 
 
 def enumerate_embeddings(n: int, codomain: Codomain) -> Iterator[Embedding]:
-    """All embeddings of an n-chain, binom(size, n) of them, in image order."""
+    """All embeddings of an n-chain, C(size, n) of them, in image order."""
     if n < 0:
         raise ValueError("n must be >= 0")
     for combo in itertools.combinations(order_points(codomain), n):
@@ -211,7 +211,10 @@ def _mirror(part: Chain, value: int) -> int:
 
 def leveled_of(signed: Signed) -> Leveled:
     """The unsigned companion: same part chains, every sign read forwards."""
-    return Leveled(tuple(part for part, _ in signed.parts))
+    # Signed checked each part already, so the constructor has nothing to check
+    companion = object.__new__(Leveled)
+    object.__setattr__(companion, "levels", tuple(part for part, _ in signed.parts))
+    return companion
 
 
 def reverse_transport(f: Embedding) -> Embedding:
@@ -232,7 +235,7 @@ def reverse_transport_inverse(g: Embedding, signed: Signed) -> Embedding:
     """Inverse of :func:`reverse_transport` for the given Signed codomain."""
     if not isinstance(g.codomain, Leveled):
         raise TypeError("expected an embedding into Leveled")
-    if g.codomain.levels != tuple(part for part, _ in signed.parts):
+    if g.codomain != leveled_of(signed):
         raise ValueError("codomain does not match the signed parts")
     images = tuple(_transport_images(g.images, signed))
     return Embedding(signed, images)

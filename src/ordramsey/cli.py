@@ -33,7 +33,6 @@ from .degrees import (
 )
 from .ordinal import OrdinalSyntaxError, parse
 from .typecalc import (
-    binom,
     check_word_levels,
     enum_additive,
     enum_mult,
@@ -100,7 +99,7 @@ def _subsets(size: int, n: int) -> int:
     least 2^k for k = min(n, size - n), so k >= 64 is past every cap."""
     if min(n, size - n) >= 64:
         return 1 << 64
-    return min(binom(size, n), 1 << 64)
+    return min(math.comb(size, n), 1 << 64)
 
 
 # The family tables hold lambdas rather than the functions they call, so

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 from .chains import Record
 from .ordinal import OMEGA, ONE, Ordinal
 # enum_power and out_degrees are unused here: bench/tracer.py wraps them at these names
-from .typecalc import binom, enum_power, out_degrees, rank_counts
+from .typecalc import enum_power, out_degrees, rank_counts
 
 EXACT = "exact"
 UPPER_BOUND = "upper-bound"
@@ -59,7 +59,7 @@ def _tail_rule(inputs: dict, table: tuple):
     _check_table(table, min(top, len(table)))
     out = list(table[: top + 1])
     for j in range(1, min(m, top) + 1):
-        weight = binom(m, j)
+        weight = comb(m, j)
         out[j:] = map(add, out[j:], [weight * t for t in table[: top + 1 - j]])
     return tuple(out)
 
@@ -68,7 +68,7 @@ RULES = {
     "zero-domain": Rule("T(0, C) = 1 for every chain C", lambda i, t: 1),
     "finite-chain-convention": Rule(
         "convention: T(n, c) = C(c, n) for finite c >= n >= 1, else 1",
-        lambda i, t: binom(i["c"], i["n"]) if i["c"] >= i["n"] else 1,
+        lambda i, t: comb(i["c"], i["n"]) if i["c"] >= i["n"] else 1,
     ),
     "ramsey-omega": Rule("T(n, w) = 1", lambda i, t: 1),
     "omega-plus-m": Rule(
@@ -84,10 +84,6 @@ RULES = {
     ),
     "bound-add": Rule(
         "T(n, a + m) <= sum_{j=0..n} C(m, j) * T(n - j, a)", _tail_rule
-    ),
-    "bound-mul": Rule(
-        "T(n, a*m) <= sum over (n, m)-multiplicative types t of T(rank(t), a)",
-        lambda i, t: bound_mul(i["n"], i["m"], t),
     ),
     "bound-pow": Rule(
         "T(n, a^d) <= sum over (n, d)-power types of the product bound on their out-degrees",
@@ -229,18 +225,14 @@ def exact_signed(n: int, signs: Sequence[str]) -> int:
     number of parts matters.
     """
     _check_n(n)
-    signs = tuple(signs)
     if not signs or any(s not in ("+", "-") for s in signs):
         raise ValueError("signs must be a nonempty sequence over '+'/'-'")
-    _check_bits(n * len(signs).bit_length())
-    return len(signs) ** n
+    return exact_omega_times_m(n, len(signs))
 
 
 def exact_integers(n: int) -> int:
     """T(n, Z) = 2^n: the integers are the two-part case w^(-) + w."""
-    _check_n(n)
-    _check_bits(n * (2).bit_length())
-    return 2**n
+    return exact_omega_times_m(n, 2)
 
 
 def _check_n(n: int):
@@ -320,19 +312,22 @@ def bound_add(n: int, m: int, table: Sequence[int]) -> int:
         raise ValueError("m must be >= 0")
     _check_table(table, n)
     # C(m, j) = 0 for j > m
-    return sum(binom(m, j) * table[n - j] for j in range(min(m, n) + 1))
+    return sum(comb(m, j) * table[n - j] for j in range(min(m, n) + 1))
 
 
 def bound_mul(n: int, m: int, table: Sequence[int]) -> int:
     """Product rule: sum of T(rank(t), a) over all (n, m)-multiplicative types.
 
-    C(m*y, n) counts the (n, m)-types whose y value blocks may be empty.
+    C(m*y, n) counts the (n, m)-types whose y value blocks may be empty; the
+    r-th forward difference at 0, sum_i (-1)^i C(r, i) C(m*(r - i), n), keeps
+    the rank-r types, those using all r.  As D = E - 1 for the shift E, the
+    sum over ranks is sum_{y <= n} C(m*y, n) * W[y], W from :func:`_weights`.
     """
     _check_n(n)
     if m < 1:
         raise ValueError("m must be >= 1")
     _check_table(table, n)
-    return _by_rank(table, n, lambda y: comb(m * y, n))
+    return sum(comb(m * y, n) * w for y, w in enumerate(_weights(table, n)))
 
 
 def product_bound(parts: Sequence[int], table: Sequence[int]) -> int:
@@ -385,18 +380,6 @@ def _power_table(table: Sequence[int], d: int, max_rank: int) -> tuple:
         counts = [c * (size - j + 1) // j for c, size in zip(counts, sizes)]
         out.append(sum(map(mul, counts, w)))
     return tuple(out)
-
-
-def _by_rank(table: Sequence[int], top: int, count: Callable[[int], int]) -> int:
-    """sum_{r <= top} table[r] * D^r count(0), where count(y) counts types over
-    y labels, some unused, and the r-th forward difference D^r count(0) =
-    sum_i (-1)^i C(r, i) count(r - i) keeps those using all r.
-
-    D = E - 1 for the shift E, so the sum is sum_{y <= top} count(y) * W[y]
-    with W from :func:`_weights`; count is called once per y <= top, in
-    order, and each count enters one product.
-    """
-    return sum(map(mul, map(count, range(top + 1)), _weights(table, top)))
 
 
 def _weights(table: Sequence[int], top: int) -> list:

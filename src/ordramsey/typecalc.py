@@ -29,16 +29,6 @@ Tree = tuple  # nested tuples; a leaf is ()
 ValTuple = Tuple[Chain, ...]
 
 
-# -- counters --------------------------------------------------------
-
-
-def binom(m: int, j: int) -> int:
-    """C(m, j), zero when j exceeds m."""
-    if j < 0:
-        return 0
-    return math.comb(m, j)
-
-
 # -- type records ----------------------------------------------------
 
 
@@ -295,7 +285,7 @@ def rank_counts(parts: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
     total = sum(parts)
     if total == 0:
         return ((0, 1),)
-    row = [math.prod(binom(y, x) for x in parts) for y in range(total + 1)]
+    row = [math.prod(math.comb(y, x) for x in parts) for y in range(total + 1)]
     out = []
     for r in range(total + 1):
         if row[0]:

@@ -127,7 +127,9 @@ class TestTransport:
         forward = {
             reverse_transport(f) for f in enumerate_embeddings(2, signed)
         }
-        everything = set(enumerate_embeddings(2, leveled_of(signed)))
+        companion = leveled_of(signed)
+        assert companion == Leveled(((0, 2, 5), (1, 3)))
+        everything = set(enumerate_embeddings(2, companion))
         assert forward == everything
 
     def test_wrong_codomain_rejected(self):

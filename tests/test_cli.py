@@ -127,6 +127,7 @@ TOO_LARGE = [
     ("exact", "omega+m", "--n", "1000000000", "--m", "1000000000"),
     ("exact", "Z", "--n", "7001"),
     ("exact", "signed", "--n", "1000000000", "--signs", "+-"),
+    ("exact", "signed", "--n", "7001", "--signs=+-"),
 ]
 
 
@@ -150,6 +151,8 @@ class TestAnswerCap:
             (("exact", "Z", "--n", "7000"), 2**7000),
             # the largest answer the cap admits: 2^13999, 4215 digits
             (("exact", "omega+m", "--n", "13999", "--m", "13999"), 2 ** (MAX_ANSWER_BITS - 1)),
+            # two signed parts share the cap of w*2
+            (("exact", "signed", "--n", "7000", "--signs=+-"), 2**7000),
         ],
     )
     def test_answer_under_the_cap_prints(self, capsys, argv, value):

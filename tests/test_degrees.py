@@ -27,7 +27,7 @@ from ordramsey.degrees import (
     DegreeResult,
     ResourceCapError,
     TraceStep,
-    _by_rank,
+    _weights,
     bound_add,
     bound_mul,
     bound_pow,
@@ -42,7 +42,7 @@ from ordramsey.degrees import (
     replay_trace,
 )
 from ordramsey.ordinal import OMEGA, Ordinal, parse
-from ordramsey.typecalc import binom, enum_mult, enum_power, out_degrees, rank_counts
+from ordramsey.typecalc import enum_mult, enum_power, out_degrees, rank_counts
 
 
 class TestExactFamilies:
@@ -65,7 +65,7 @@ class TestExactFamilies:
     def test_omega_plus_m_matches_full_sum(self):
         for n in range(9):
             for m in range(9):
-                assert exact_omega_plus_m(n, m) == sum(binom(m, j) for j in range(n + 1))
+                assert exact_omega_plus_m(n, m) == sum(math.comb(m, j) for j in range(n + 1))
 
     @pytest.mark.parametrize("n,m", [(0, 3), (2, 1), (2, 3), (4, 2)])
     def test_omega_times_m(self, n, m):
@@ -82,6 +82,9 @@ class TestExactFamilies:
     def test_rejections(self):
         with pytest.raises(ValueError):
             exact_omega(-1)
+        # n is checked before the signs
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            exact_signed(-1, "x")
         with pytest.raises(ValueError):
             exact_omega_times_m(2, 0)
         with pytest.raises(ValueError):
@@ -122,7 +125,7 @@ class TestBoundRules:
         table = (1, 3, 4, 9, 10, 25, 31)
         for n in range(7):
             for m in range(7):
-                full = sum(binom(m, j) * table[n - j] for j in range(n + 1))
+                full = sum(math.comb(m, j) * table[n - j] for j in range(n + 1))
                 assert bound_add(n, m, table) == full
 
     @given(st.integers(min_value=0, max_value=5), st.lists(st.integers(min_value=1, max_value=9), min_size=6, max_size=6))
@@ -175,15 +178,11 @@ class TestBoundRules:
         assert bound_pow(n, d, table) == total
 
     def test_by_rank_counts_each_label_size_once(self):
-        calls = []
-
-        def count(y):
-            calls.append(y)
-            return binom(y**2, 3)
-
+        # one weight per label size y <= 6, and each count enters one product
         table = tuple(2**j for j in range(7))
-        assert _by_rank(table, 6, count) == bound_pow(3, 2, table)
-        assert calls == list(range(7))
+        w = _weights(table, 6)
+        assert len(w) == 7
+        assert sum(math.comb(y**2, 3) * w[y] for y in range(7)) == bound_pow(3, 2, table)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -198,9 +197,8 @@ class TestBoundRules:
         # forward differences equal the inclusion-exclusion sum for any sequence
         table, counts = lists
         top = len(table) - 1
-        assert _by_rank(table, top, counts.__getitem__) == by_rank_double_sum(
-            table, top, counts.__getitem__
-        )
+        by_weights = sum(c * w for c, w in zip(counts, _weights(table, top), strict=True))
+        assert by_weights == by_rank_double_sum(table, top, counts.__getitem__)
 
     def test_pow_composes_over_exponent_products(self):
         # Power(range(y), d1*d2) is Power(Power(range(y), d1), d2)
@@ -222,8 +220,8 @@ class TestBoundRules:
             for d in range(1, 4):
                 for n in range(1, 5):
                     trees = enum_power(n, d)
-                    labelled = sum(math.prod(binom(y, k) for k in out_degrees(t)) for t in trees)
-                    assert labelled == binom(y**d, n)
+                    labelled = sum(math.prod(math.comb(y, k) for k in out_degrees(t)) for t in trees)
+                    assert labelled == math.comb(y**d, n)
 
     def test_table_coverage_errors(self):
         with pytest.raises(ValueError):
@@ -243,7 +241,7 @@ def power_rule(table, d, max_rank):
 def literal_power_table(table, d, max_rank):
     """(1, then rank j's literal double sum over ranks up to j*d)."""
     return (1,) + tuple(
-        by_rank_double_sum(table, j * d, lambda y, j=j: binom(y**d, j))
+        by_rank_double_sum(table, j * d, lambda y, j=j: math.comb(y**d, j))
         for j in range(1, max_rank + 1)
     )
 
@@ -424,7 +422,7 @@ class TestClassifier:
         tail = a.terms[-1][1] if a.terms[-1][0].is_zero else 0
         for n in range(1, 5):
             top = n * d
-            bound = (m + 1) ** top * binom(top**d, n) * (tail + 1) ** n
+            bound = (m + 1) ** top * math.comb(top**d, n) * (tail + 1) ** n
             predicted = top * ((m + 1).bit_length() + top.bit_length()) + n * (tail + 1).bit_length()
             result = pipeline_bound(a, n)
             assert result.value <= bound and bound.bit_length() <= predicted
@@ -501,6 +499,10 @@ class TestResultRecords:
         tampered = DegreeResult(UPPER_BOUND, r.value + 1, (r.trace[0], bad_step))
         with pytest.raises(ValueError):
             replay_trace(tampered)
+        # a rule outside RULES, here the product rule, which no derivation emits
+        foreign = TraceStep("bound-mul", {"n": 2, "m": 2}, r.value)
+        with pytest.raises(ValueError, match="^unknown trace rule 'bound-mul'$"):
+            replay_trace(DegreeResult(UPPER_BOUND, r.value, (r.trace[0], foreign)))
 
     def test_replay_rejects_wrong_total(self):
         r = classify(parse("w*2 + 3"), 2)

@@ -15,7 +15,7 @@ import json
 from pathlib import Path
 
 from ordramsey.cli import main
-from ordramsey.degrees import classify, pipeline_bound, replay_trace
+from ordramsey.degrees import RULES, classify, pipeline_bound, replay_trace
 from ordramsey.ordinal import parse
 
 FIXTURE = Path(__file__).parent / "data" / "golden.json"
@@ -74,6 +74,17 @@ def test_cli_output_matches_fixture():
 def test_verify_output_matches_fixture(verify_sweep):
     got = {"code": verify_sweep.code, "stdout": verify_sweep.stdout, "stderr": verify_sweep.stderr}
     assert {"argv": ["verify"], **got} == load()["verify"]
+
+
+def test_traces_use_every_rule():
+    # a rule that no derivation emits has no place in RULES
+    used = {
+        step["rule"]
+        for g in load()["cli"]
+        if g["code"] == 0 and "--json" in g["argv"]
+        for step in json.loads(g["stdout"])["result"]["trace"]
+    }
+    assert used == set(RULES)
 
 
 def test_every_trace_replays():

@@ -24,6 +24,7 @@ import hashlib
 import itertools
 import random
 from functools import lru_cache, reduce
+from math import comb
 from operator import getitem, mul
 
 import pytest
@@ -51,7 +52,6 @@ from ordramsey.ordinal import (
 from ordramsey.typecalc import (
     MultiplicativeType,
     _strict_from_letters,
-    binom,
     enum_power,
     enum_product_types,
     enum_strict,
@@ -84,9 +84,9 @@ def ref_rank_counts(parts):
     for r in range(1, total + 1):
         count = 0
         for i in range(r + 1):
-            product = (-1) ** i * binom(r, i)
+            product = (-1) ** i * comb(r, i)
             for x in parts:
-                product *= binom(r - i, x)
+                product *= comb(r - i, x)
             count += product
         if count:
             out.append((r, count))
@@ -252,7 +252,7 @@ def small_power_embeddings():
     for s, m in itertools.product(range(1, 5), range(1, 4)):
         codomain = Power(tuple(range(s)), m)
         for n in range(1, 5):
-            if binom(s**m, n) <= 3000:
+            if comb(s**m, n) <= 3000:
                 for f in enumerate_embeddings(n, codomain):
                     out.append((f, power_type(f), power_val(f)))
     return tuple(out)
@@ -589,7 +589,7 @@ class TestCounts:
 def power_differences(n, d):
     """The literal differences of C(y^d, n) up to rank n*d.  The power
     rule weights them by the table, so every table at (n, d) shares them."""
-    counts = [binom(y**d, n) for y in range(n * d + 1)]
+    counts = [comb(y**d, n) for y in range(n * d + 1)]
     return tuple(literal_differences(n * d, counts.__getitem__))
 
 
@@ -619,7 +619,7 @@ class TestRules:
             table = [1]
             for _ in range(n * d):
                 table.append(table[-1] * rng.randrange(1, 4) + rng.randrange(5))
-            literal = by_rank_double_sum(table, n, lambda y: binom(d * y, n))
+            literal = by_rank_double_sum(table, n, lambda y: comb(d * y, n))
             assert bound_mul(n, d, table) == literal
             if n == 0:
                 continue

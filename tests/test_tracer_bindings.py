@@ -29,6 +29,7 @@ argvs = (
     ["bound", "w^2", "--n", "2"],
     ["types", "strict", "--n", "2", "--m", "2"],
     ["witness", "strict", "--n", "1", "--m", "2", "--sizes", "1"],
+    ["types", "product", "--parts", "2,1", "--count-only"],
 )
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [ordramsey.cli.main(argv) for argv in argvs]
@@ -59,7 +60,7 @@ def test_tracer_installs_and_cli_calls_through_wrappers():
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert got["codes"] == [0, 0, 0, 0]
+    assert got["codes"] == [0, 0, 0, 0, 0]
     assert got["finite_ok"] and got["reference_ok"]
     assert got["caches"] == got["cache_names"]
     # verify's reference instances extract and reconstruct through the
@@ -67,13 +68,16 @@ def test_tracer_installs_and_cli_calls_through_wrappers():
     assert got["reference_spans"] == ["typecalc.mult_type", "typecalc.reconstruct"]
     # the CLI's handlers and family tables reach each wrapped name, and
     # bound_pow and the finite-chain check are reached at their module
-    # bindings
+    # bindings; types product --count-only reaches product_bound and
+    # rank_counts only through the names degrees binds
     for span in (
         "ordinal.parse",
         "degrees.classify",
         "degrees.pipeline_bound",
         "degrees.bound_add",
         "degrees.bound_pow",
+        "degrees.product_bound",
+        "typecalc.rank_counts",
         "typecalc.enum_strict",
         "witness.realized_colors",
         "verify.finite_convention",

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import random
 import time
+from math import comb
 
 import pytest
 
@@ -14,7 +15,6 @@ from ordramsey.typecalc import (
     AdditiveType,
     MultiplicativeType,
     additive_type,
-    binom,
     enum_additive,
     enum_mult,
     enum_power,
@@ -48,14 +48,6 @@ from ordramsey.verify import (
     REF_RECON_VAL,
 )
 from test_reference_primitives import leaf_paths
-
-
-class TestCounters:
-    def test_binom_edges(self):
-        assert binom(3, 5) == 0
-        assert binom(5, 0) == 1
-        assert binom(5, -2) == 0
-        assert binom(4, 2) == 6
 
 
 class TestAdditive:
@@ -108,7 +100,7 @@ class TestMultReconstruction:
     def test_roundtrip_exhaustive(self, verify_sweep):
         # verify runs this round trip over every embedding of n <= 3 points
         # into m <= 3 levels of s <= 3 values
-        checked = sum(binom(s * m, n) for m in (1, 2, 3) for s in (1, 2, 3) for n in range(4))
+        checked = sum(comb(s * m, n) for m in (1, 2, 3) for s in (1, 2, 3) for n in range(4))
         assert f"[ok] mult-roundtrip checked={checked}: 0" in verify_sweep.stdout.splitlines()
 
     def test_reconstruction_extracts_back(self):
@@ -237,7 +229,7 @@ class TestPower:
     def test_roundtrip_exhaustive(self, verify_sweep):
         # verify runs this round trip over every embedding of n <= 3 points
         # into Power(range(s), m) for m, s <= 3
-        checked = sum(binom(s**m, n) for m in (1, 2, 3) for s in (1, 2, 3) for n in (1, 2, 3))
+        checked = sum(comb(s**m, n) for m in (1, 2, 3) for s in (1, 2, 3) for n in (1, 2, 3))
         assert f"[ok] power-roundtrip checked={checked}: 0" in verify_sweep.stdout.splitlines()
 
     def test_reconstruction_extracts_back(self):

@@ -205,10 +205,6 @@ def enumerate_embeddings(n: int, codomain: Codomain) -> Iterator[Embedding]:
         yield Embedding(codomain, combo)
 
 
-def _mirror(part: Chain, value: int) -> int:
-    return part[len(part) - 1 - part.index(value)]
-
-
 def leveled_of(signed: Signed) -> Leveled:
     """The unsigned companion: same part chains, every sign read forwards."""
     # Signed checked each part already, so the constructor has nothing to check
@@ -244,4 +240,4 @@ def reverse_transport_inverse(g: Embedding, signed: Signed) -> Embedding:
 def _transport_images(images, signed: Signed):
     for value, index in images:
         part, sign = signed.parts[index]
-        yield (value if sign == PLUS else _mirror(part, value), index)
+        yield (value if sign == PLUS else part[len(part) - 1 - part.index(value)], index)

@@ -258,19 +258,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="settle T(n, a) for an ordinal expression")
-    p.add_argument("ordinal", help="ordinal expression, e.g. 'w^3*2 + w*5 + 1'")
-    p.add_argument("--n", type=int, required=True, help="subchain size")
-    p.add_argument("--cap", type=int, default=5, help="resource cap on n")
-    p.add_argument("--json", action="store_true", help="emit the JSON model")
-    p.set_defaults(func=_cmd_degree)
-
-    p = sub.add_parser("bound", help="run the general pipeline bound with trace")
-    p.add_argument("ordinal")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=5)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_degree)
+    for name, text in (
+        ("classify", "settle T(n, a) for an ordinal expression"),
+        ("bound", "run the general pipeline bound with trace"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("ordinal", help="ordinal expression, e.g. 'w^3*2 + w*5 + 1'")
+        p.add_argument("--n", type=int, required=True, help="subchain size")
+        p.add_argument("--cap", type=int, default=5, help="resource cap on n")
+        p.add_argument("--json", action="store_true", help="emit the JSON model")
+        p.set_defaults(func=_cmd_degree)
 
     p = sub.add_parser("exact", help="closed-form degree families")
     p.add_argument("family", choices=_EXACT)

@@ -82,11 +82,6 @@ class Ordinal:
             raise ValueError("ordinals are non-negative")
         return cls(((ZERO, c),)) if c else ZERO
 
-    @classmethod
-    def parse(cls, text: str) -> "Ordinal":
-        """Parse the ASCII grammar above; raises OrdinalSyntaxError."""
-        return _Parser(text).run()
-
     # -- predicates and views ----------------------------------------
 
     @property
@@ -326,5 +321,5 @@ OMEGA = Ordinal(((ONE, 1),))
 
 
 def parse(text: str) -> Ordinal:
-    """Module-level alias for :meth:`Ordinal.parse`."""
-    return Ordinal.parse(text)
+    """Parse the ASCII grammar above; raises OrdinalSyntaxError."""
+    return _Parser(text).run()

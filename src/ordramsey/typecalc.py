@@ -324,12 +324,6 @@ def word_to_strict(word: str, m: int) -> MultiplicativeType:
 # -- power calculus --------------------------------------------------
 
 
-def _require_power(f: Embedding) -> Power:
-    if not isinstance(f.codomain, Power):
-        raise TypeError("expected an embedding into Power")
-    return f.codomain
-
-
 def _power_pass(f: Embedding) -> Tuple[Tree, ValTuple]:
     """The suffix tree shape and the child label chains of an embedding into
     Power, from one pass over its images.
@@ -340,7 +334,9 @@ def _power_pass(f: Embedding) -> Tuple[Tree, ValTuple]:
     at every depth below that; the first image opens one at every depth, and
     a repeat (k = m) adds nothing.
     """
-    m = _require_power(f).m
+    if not isinstance(f.codomain, Power):
+        raise TypeError("expected an embedding into Power")
+    m = f.codomain.m
     levels = [[] for _ in range(m)]
     prev = None
     for image in f.images:

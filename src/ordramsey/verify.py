@@ -11,7 +11,7 @@ explicitly.  Checks land in a :class:`Report`.
 from __future__ import annotations
 
 import itertools
-from typing import List
+from typing import List, NamedTuple
 
 from .chains import (
     Embedding,
@@ -60,13 +60,12 @@ OK = "ok"
 MISMATCH = "mismatch"
 
 
-class CheckEntry:
-    def __init__(self, name: str, params: dict, expected, actual, status: str):
-        self.name = name
-        self.params = params
-        self.expected = expected
-        self.actual = actual
-        self.status = status
+class CheckEntry(NamedTuple):
+    name: str
+    params: dict
+    expected: object
+    actual: object
+    status: str
 
     def line(self) -> str:
         params = " ".join(f"{k}={v}" for k, v in self.params.items())
@@ -174,13 +173,10 @@ def check_type_counts() -> Report:
 
     counts("additive-count", count_additive, enum_additive, itertools.product(range(6), repeat=2))
     counts("strict-count", count_strict, enum_strict, itertools.product(range(1, 6), repeat=2))
-    for s in range(1, 5):
-        ones = (1,) * s
-        listed = len(enum_product_types(ones))
-        report.add("product-count-all-ones", {"s": s}, count_product(ones), listed)
-    for parts in ((2,), (2, 1), (3,), (2, 2)):
-        listed = len(enum_product_types(parts))
-        report.add("product-count", {"parts": parts}, count_product(parts), listed)
+    products = [("product-count-all-ones", {"s": s}, (1,) * s) for s in range(1, 5)]
+    products += [("product-count", {"parts": p}, p) for p in ((2,), (2, 1), (3,), (2, 2))]
+    for name, params, parts in products:
+        report.add(name, params, count_product(parts), len(enum_product_types(parts)))
     counts("power-count", count_power, enum_power, itertools.product(range(1, 5), repeat=2))
     mult = {(n, m): enum_mult(n, m) for n, m in itertools.product(range(4), repeat=2)}
     for (n, m), types in mult.items():
@@ -196,22 +192,17 @@ def check_type_counts() -> Report:
             dict(rank_counts(parts)),
             by_rank,
         )
+
     # enumerated types against a full embedding scan
-    for n in range(4):
-        for m in range(1, 4):
-            codomain = Leveled((tuple(range(n if n else 1)),) * m)
-            scanned = {mult_type(f) for f in enumerate_embeddings(n, codomain)}
-            report.add("mult-enum-set", {"n": n, "m": m}, True, scanned == set(mult[n, m]))
-    for n in range(1, 4):
-        for m in range(1, 4):
-            codomain = Power(tuple(range(n)), m)
-            scanned = {power_type(f) for f in enumerate_embeddings(n, codomain)}
-            report.add(
-                "power-enum-set",
-                {"n": n, "m": m},
-                True,
-                scanned == set(enum_power(n, m)),
-            )
+    def scan(name, n, m, codomain, extract, listed):
+        scanned = {extract(f) for f in enumerate_embeddings(n, codomain)}
+        report.add(name, {"n": n, "m": m}, True, scanned == set(listed))
+
+    for n, m in itertools.product(range(4), range(1, 4)):
+        codomain = Leveled((tuple(range(n if n else 1)),) * m)
+        scan("mult-enum-set", n, m, codomain, mult_type, mult[n, m])
+    for n, m in itertools.product(range(1, 4), repeat=2):
+        scan("power-enum-set", n, m, Power(tuple(range(n)), m), power_type, enum_power(n, m))
     return report
 
 

@@ -128,6 +128,9 @@ TOO_LARGE = [
     ("exact", "Z", "--n", "7001"),
     ("exact", "signed", "--n", "1000000000", "--signs", "+-"),
     ("exact", "signed", "--n", "7001", "--signs=+-"),
+    # listings whose levels outrun the stack before any cap on their size
+    ("types", "mult", "--n", "1", "--m", "3000"),
+    ("types", "power", "--n", "1", "--m", "1000"),
 ]
 
 
@@ -166,6 +169,16 @@ class TestAnswerCap:
 
 
 class TestBound:
+    def test_help_matches_classify(self, capsys):
+        helps = []
+        for command in ("classify", "bound"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            helps.append(capsys.readouterr().out)
+        for text in ("subchain size", "resource cap on n", "emit the JSON model"):
+            assert text in helps[1]
+        assert helps[1] == helps[0].replace("ordramsey classify", "ordramsey bound")
+
     def test_runs_pipeline_even_for_exact_family(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "w*3", "--n", "2")
         assert code == EXIT_OK

@@ -30,6 +30,7 @@ argvs = (
     ["types", "strict", "--n", "2", "--m", "2"],
     ["witness", "strict", "--n", "1", "--m", "2", "--sizes", "1"],
     ["types", "product", "--parts", "2,1", "--count-only"],
+    ["verify"],
 )
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [ordramsey.cli.main(argv) for argv in argvs]
@@ -47,6 +48,7 @@ print(json.dumps({
     "reference_ok": reference_ok,
     "reference_spans": reference_spans,
     "spans": sorted(summary["spans"]),
+    "counts": {name: summary["counts"][name] for name in ("verify.checks", "verify.mismatched")},
     "caches": sorted(summary["caches"]),
     "cache_names": sorted(name for name, _, _ in CACHES),
 }))
@@ -60,16 +62,19 @@ def test_tracer_installs_and_cli_calls_through_wrappers():
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert got["codes"] == [0, 0, 0, 0, 0]
+    assert got["codes"] == [0] * 6
     assert got["finite_ok"] and got["reference_ok"]
     assert got["caches"] == got["cache_names"]
     # verify's reference instances extract and reconstruct through the
     # names verify binds, so their per-layer metrics are not left at 0
     assert got["reference_spans"] == ["typecalc.mult_type", "typecalc.reconstruct"]
+    # the tracer counts verify's checks from the Report that run_all returns
+    assert got["counts"] == {"verify.checks": 221, "verify.mismatched": 0}
     # the CLI's handlers and family tables reach each wrapped name, and
     # bound_pow and the finite-chain check are reached at their module
     # bindings; types product --count-only reaches product_bound and
-    # rank_counts only through the names degrees binds
+    # rank_counts only through the names degrees binds; run_all reaches
+    # each suite through the names verify binds
     for span in (
         "ordinal.parse",
         "degrees.classify",
@@ -80,6 +85,10 @@ def test_tracer_installs_and_cli_calls_through_wrappers():
         "typecalc.rank_counts",
         "typecalc.enum_strict",
         "witness.realized_colors",
+        "verify.run_all",
+        "verify.type_counts",
+        "verify.product_bound",
+        "verify.roundtrips",
         "verify.finite_convention",
     ):
         assert span in got["spans"]

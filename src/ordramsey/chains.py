@@ -178,10 +178,6 @@ class Embedding(Record):
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "images", tuple(images))
 
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
 
 def check_embedding(f: Embedding) -> Embedding:
     """Raise ValueError unless f is strictly increasing inside its codomain."""
@@ -207,10 +203,7 @@ def enumerate_embeddings(n: int, codomain: Codomain) -> Iterator[Embedding]:
 
 def leveled_of(signed: Signed) -> Leveled:
     """The unsigned companion: same part chains, every sign read forwards."""
-    # Signed checked each part already, so the constructor has nothing to check
-    companion = object.__new__(Leveled)
-    object.__setattr__(companion, "levels", tuple(part for part, _ in signed.parts))
-    return companion
+    return Leveled(tuple(part for part, _ in signed.parts))
 
 
 def reverse_transport(f: Embedding) -> Embedding:

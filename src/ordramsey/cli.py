@@ -146,26 +146,30 @@ _TYPES = {
 }
 
 # witness family -> (coloring, instance of one size, palette size, embeddings
-# of an instance of one size) for the parsed arguments; the sizes come in
-# closed form, so they bound a report before it lists anything
+# of an instance of one size, points of an instance of one size) for the
+# parsed arguments; the sizes come in closed form, so they bound a report
+# before it builds anything
 _WITNESSES = {
     "additive": (
         lambda args: AdditiveWitness(args.n, args.m),
         lambda args, u: SumTail(tuple(range(u)), args.m),
         lambda args: count_additive(args.n, args.m),
         lambda args, u: _subsets(u + args.m, args.n),
+        lambda args, u: u + args.m,
     ),
     "strict": (
         lambda args: StrictWitness(args.n, args.m),
         lambda args, per_level: Leveled(spread(tuple(range(per_level * args.m)), args.m)),
         lambda args: count_strict(args.n, args.m),
         lambda args, per_level: _subsets(per_level * args.m, args.n),
+        lambda args, per_level: per_level * args.m,
     ),
     "product": (
         lambda args: ProductWitness(_parts(args)),
         lambda args, u: tuple(range(u)),
         lambda args: count_product(_parts(args)),
         lambda args, u: math.prod(_subsets(u, k) for k in _parts(args)),
+        lambda args, u: u,
     ),
 }
 
@@ -216,9 +220,14 @@ def _cmd_witness(args) -> int:
     sizes = _parse_sizes(args.sizes, "--sizes")
     if min(sizes) < 0:
         raise ValueError("--sizes must be >= 0")
-    make_coloring, make_instance, palette, embeddings = _WITNESSES[args.family]
-    listed = palette(args) + sum(embeddings(args, u) for u in sizes)
-    check_cap(listed, MAX_LISTED, "listed objects")
+    make_coloring, make_instance, palette, embeddings, points = _WITNESSES[args.family]
+    records = palette(args)
+    check_cap(records + sum(embeddings(args, u) for u in sizes), MAX_LISTED, "listed objects")
+    # an instance may hold no embedding at all, and a palette type may be
+    # long, so the listed objects alone do not bound what is built
+    check_cap(sum(points(args, u) for u in sizes), MAX_LISTED, "instance points")
+    if args.family == "strict":
+        check_cap(records * args.m, MAX_LISTED, "palette level counts")
     coloring = make_coloring(args)
     rows = [
         (str(u), coloring.palette, sorted(realized_colors(coloring, make_instance(args, u))))

@@ -116,8 +116,8 @@ MAX_ANSWER_BITS = 14_000
 # rule's prediction, sum_{j <= n} (j*d)^2 / 2, is a loose upper bound on
 # its one Horner pass of (n*d)^2 / 2 subtractions.
 MAX_STEPS = 2_000_000
-# Most objects a witness report may list: its palette's types plus the
-# embeddings of every instance, a few seconds' work.
+# Most objects a witness report may list (palette types plus embeddings)
+# or build (instance points, strict palette level counts): seconds of work.
 MAX_LISTED = 100_000
 
 
@@ -486,7 +486,7 @@ def _pipeline(a: Ordinal, n: int):
     core = Ordinal(tuple((e, c) for e, c in a.terms if not e.is_zero))
     tail = a.terms[-1][1] if a.terms[-1][0].is_zero else 0
     m = max(c for _, c in core.terms)
-    d = core.leading_exponent.as_int()
+    d = core.terms[0][0].as_int()
     top = n * d
     _check_bits(top * ((m + 1).bit_length() + top.bit_length()) + n * (tail + 1).bit_length())
     # sum_{j <= n} (j*d)^2 / 2

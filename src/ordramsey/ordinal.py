@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Tuple
 
+from .chains import Record
 
 # Deepest parenthesized exponent the parser accepts.  Parsing, comparing,
 # arithmetic and printing recurse a few frames per level, so this keeps
@@ -44,8 +45,8 @@ class OrdinalSyntaxError(ValueError):
 
 
 @functools.total_ordering
-class Ordinal:
-    """An ordinal below epsilon_0, immutable and hashable.
+class Ordinal(Record):
+    """An ordinal below epsilon_0, an immutable and hashable record.
 
     ``terms`` is the Cantor normal form as a tuple of (exponent,
     coefficient) pairs.  Ints coerce in arithmetic and comparisons, and
@@ -67,12 +68,6 @@ class Ordinal:
             if not e2 < e1:
                 raise ValueError("exponents must be strictly decreasing")
         object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ordinal is immutable")
-
-    def __reduce__(self):
-        return Ordinal, (self.terms,)
 
     # -- construction ------------------------------------------------
 
@@ -101,12 +96,6 @@ class Ordinal:
         """True when every exponent in the normal form is finite."""
         return all(e.is_finite for e, _ in self.terms)
 
-    @property
-    def leading_exponent(self) -> "Ordinal":
-        if not self.terms:
-            raise ValueError("0 has no leading term")
-        return self.terms[0][0]
-
     # -- comparison --------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -121,8 +110,8 @@ class Ordinal:
             return NotImplemented
         return self.terms < other.terms
 
-    def __hash__(self) -> int:
-        return hash(self.terms)
+    # defining __eq__ drops the inherited hash
+    __hash__ = Record.__hash__
 
     # -- arithmetic --------------------------------------------------
 

@@ -102,8 +102,10 @@ def enum_additive(n: int, m: int) -> tuple:
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be >= 0")
-    out = []
-    for j in range(min(n, m) + 1):
+    # combinations() copies all m positions, which the empty pattern needs
+    # none of: with n = 0 the listing has one record however large m is
+    out = [AdditiveType(m, ())]
+    for j in range(1, min(n, m) + 1):
         for tau in itertools.combinations(range(m), j):
             out.append(AdditiveType(m, tau))
     return tuple(out)

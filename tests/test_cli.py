@@ -237,6 +237,13 @@ TOO_MUCH_WORK = [
     ("witness", "additive", "--n", "2", "--m", "1000000000", "--sizes", "1"),
     ("witness", "product", "--parts", "2,2", "--sizes", "1,100"),
     ("witness", "product", "--parts", "1000000000", "--sizes", "1"),
+    # few listed objects, but instances of 1e20, 1e7 and 2e7 points, and
+    # palettes of 49 000 and 5000 types of as many level counts each
+    ("witness", "additive", "--n", "0", "--m", "5", "--sizes", "99999999999999999999"),
+    ("witness", "additive", "--n", "0", "--m", "0", "--sizes", "10000000"),
+    ("witness", "additive", "--n", "0", "--m", "20000000", "--sizes", "0"),
+    ("witness", "strict", "--n", "1", "--m", "49000", "--sizes", "1"),
+    ("witness", "strict", "--n", "1", "--m", "5000", "--sizes", "1"),
     ("types", "mult", "--n", "5000", "--m", "3", "--count-only"),
     # 1200 * 1200 binomials and 1200^2 / 2 subtractions, about 2.16e6 steps
     ("types", "product", "--parts", ",".join(["1"] * 1200), "--count-only"),
@@ -253,6 +260,8 @@ LONG_LISTINGS = [
     ("types", "mult", "--n", "1100", "--m", "1"),
     ("types", "product", "--parts", "1100"),
     ("witness", "product", "--parts", "1100", "--sizes", "1100"),
+    # one empty pattern over 1e20 tail positions, listed without them
+    ("types", "additive", "--n", "0", "--m", str(10**20)),
 ]
 
 
@@ -569,12 +578,15 @@ def types_and_witness_argv(draw):
     command = draw(st.sampled_from(["types", "witness"]))
     families = ["additive", "strict", "product"] + (["mult", "power"] if command == "types" else [])
     family = draw(st.sampled_from(families))
-    n, m = draw(st.integers(-1, 3000)), draw(st.integers(-1, 4))
+    # small values, and sizes far past every cap
+    huge = st.integers(10**7, 10**20)
+    n = draw(st.one_of(st.just(0), st.integers(-1, 3000)))
+    m = draw(st.one_of(st.integers(-1, 4), huge))
     parts = draw(st.lists(st.integers(0, 3000), max_size=3))
     # "--flag=value", so that argparse reads "-1" as a value, not an option
     argv = [command, family, f"--n={n}", f"--m={m}", f"--parts={','.join(map(str, parts))}"]
     if command == "witness":
-        sizes = draw(st.lists(st.integers(-1, 3000), min_size=1, max_size=3))
+        sizes = draw(st.lists(st.one_of(st.integers(-1, 3000), huge), min_size=1, max_size=3))
         return argv + [f"--sizes={','.join(map(str, sizes))}"]
     return argv + draw(st.sampled_from([[], ["--count-only"], ["--json"]]))
 

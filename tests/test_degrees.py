@@ -418,7 +418,7 @@ class TestClassifier:
         # (m + 1)^(n*d) * C((n*d)^d, n) * (tail + 1)^n bounds every value
         a = parse(text)
         m = max(c for e, c in a.terms if not e.is_zero)
-        d = a.leading_exponent.as_int()
+        d = a.terms[0][0].as_int()
         tail = a.terms[-1][1] if a.terms[-1][0].is_zero else 0
         for n in range(1, 5):
             top = n * d

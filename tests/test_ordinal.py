@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ordramsey.degrees import classify
 from ordramsey.ordinal import OMEGA, ONE, ZERO, Ordinal, OrdinalSyntaxError, parse
 
 
@@ -50,7 +51,7 @@ class TestParse:
         a = parse("w^(w + 1)*2")
         assert a.terms == ((OMEGA + 1, 2),)
         assert parse("w^w") == Ordinal(((OMEGA, 1),))
-        assert parse("w^(w^2)").leading_exponent == Ordinal(
+        assert parse("w^(w^2)").terms[0][0] == Ordinal(
             ((Ordinal.from_int(2), 1),)
         )
 
@@ -195,6 +196,15 @@ class TestMisc:
     def test_immutability(self):
         with pytest.raises(AttributeError):
             OMEGA.terms = ()
+
+    def test_shared_constants_refuse_del(self):
+        # every ordinal is built from these three, so a deleted field
+        # would break every later call
+        value = classify(parse("w^2 + 1"), 2).value
+        for constant in (ZERO, ONE, OMEGA):
+            with pytest.raises(AttributeError):
+                del constant.terms
+        assert classify(parse("w^2 + 1"), 2).value == value
 
     def test_hashable(self):
         assert len({parse("w + 1"), parse("w + 1"), parse("w")}) == 2

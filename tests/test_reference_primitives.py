@@ -8,8 +8,9 @@
   against the power and product rules' Horner pass.
 * ``ref_cmp``, ``ref_add``, ``ref_mul`` and ``RefParser`` compare term by
   term and add one monomial at a time, where the package orders CNFs as
-  tuples and normalises once in ``_sum``: the only value oracle for CNF
-  arithmetic and parse error positions.
+  tuples and normalises once in ``_sum``; ``RefParser`` reads regex
+  tokens where the parser reads characters.  They are the only value
+  oracle for CNF arithmetic and parse error positions.
 * The power primitives go through extraction and reconstruction both ways,
   the tree listing and leaf paths; strict words through ``mult_type`` of
   the embedding that spells them; a product witness's colour through
@@ -23,6 +24,7 @@ import contextlib
 import hashlib
 import itertools
 import random
+import re
 from functools import lru_cache, reduce
 from math import comb
 from operator import getitem, mul
@@ -46,7 +48,6 @@ from ordramsey.ordinal import (
     Ordinal,
     OrdinalSyntaxError,
     _coerce,
-    _Parser,
     parse,
 )
 from ordramsey.typecalc import (
@@ -163,44 +164,90 @@ def ref_mul(self, other):
     return total
 
 
-class RefParser(_Parser):
-    """The parser that summed one term at a time."""
+# a natural number, or any one character that is not whitespace
+TOKEN = re.compile(r"\s*(?:([0-9]+)|(\S))")
+
+
+class RefParser:
+    """Recursive descent over regex tokens, one term summed at a time.
+
+    It shares no code with ``ordinal._Parser``.  A token is a run of
+    digits or one other character, and an error's position is the offset
+    of the token it is raised at.
+    """
+
+    def __init__(self, text):
+        # (offset, digits, character): one of the two is None; "" ends the text
+        self.tokens = [(m.start(m.lastindex), m[1], m[2]) for m in TOKEN.finditer(text)]
+        self.tokens.append((len(text), None, ""))
+        self.i = 0
+        self.depth = 0
+
+    def peek(self):
+        """The next character, or None where a number comes next."""
+        return self.tokens[self.i][2]
+
+    def take(self, token):
+        """Step past the next token when it is ``token``."""
+        if self.peek() == token:
+            self.i += 1
+            return True
+        return False
+
+    def fail(self, message):
+        raise OrdinalSyntaxError(message, self.tokens[self.i][0])
+
+    def number(self):
+        digits = self.tokens[self.i][1]
+        if digits is None:
+            self.fail("expected a number")
+        self.i += 1
+        return int(digits)
+
+    def run(self):
+        total = self.expr()
+        if self.peek() != "":
+            self.fail("unexpected trailing input")
+        return total
 
     def expr(self):
         total = self.term()
-        while True:
-            self.skip_ws()
-            if self.peek() != "+":
-                return total
-            self.pos += 1
+        while self.take("+"):
             total = ref_add(total, self.term())
+        return total
 
     def term(self):
-        self.skip_ws()
-        ch = self.peek()
-        if "0" <= ch <= "9":
-            return Ordinal.from_int(self.nat())
-        if ch != "w":
+        if self.peek() is None:
+            return Ordinal.from_int(self.number())
+        if not self.take("w"):
             self.fail("expected 'w' or a number")
-        self.pos += 1
-        exponent = ONE
-        self.skip_ws()
-        if self.peek() == "^":
-            self.pos += 1
-            exponent = self.expo()
+        exponent = self.exponent() if self.take("^") else ONE
         coeff = 1
-        self.skip_ws()
-        if self.peek() == "*":
-            self.pos += 1
-            self.skip_ws()
-            at = self.pos
-            coeff = self.nat()
+        if self.take("*"):
+            coeff = self.number()
             if coeff == 0:
-                self.pos = at
+                self.i -= 1
                 self.fail("coefficient must be >= 1")
         if exponent.is_zero:
             return Ordinal.from_int(coeff)
         return Ordinal(((exponent, coeff),))
+
+    def exponent(self):
+        if self.peek() is None:
+            return Ordinal.from_int(self.number())
+        if self.take("w"):
+            return OMEGA
+        if self.peek() != "(":
+            self.fail("expected an exponent")
+        if self.depth == MAX_NESTING:
+            self.fail(f"exponents nest deeper than {MAX_NESTING} levels")
+        self.i += 1
+        self.depth += 1
+        inner = self.expr()
+        self.depth -= 1
+        if not self.take(")"):
+            self.fail("expected ')'")
+        return inner
 
 
 def ref_parse(text):
@@ -300,7 +347,7 @@ class TestPower:
         # internal vertex that fits its out-degree
         listed = {}
         for f, t, v in small_power_embeddings():
-            key = (f.n, f.codomain.m)
+            key = (len(f.images), f.codomain.m)
             if key not in listed:
                 listed[key] = set(enum_power(*key))
             assert t in listed[key]
@@ -316,7 +363,7 @@ class TestPower:
     def test_extraction_random(self, f):
         t, v = power_type(f), power_val(f)
         paths = leaf_paths(t)
-        assert len(paths) == f.n
+        assert len(paths) == len(f.images)
         assert {len(p) for p in paths} == {f.codomain.m}
         assert tuple(map(len, v)) == out_degrees(t)
         assert reconstruct_power(t, v, f.codomain) == f
@@ -662,7 +709,9 @@ class TestOrdinal:
     @pytest.mark.parametrize(
         "text",
         ["1 + w + w^2*3 + w", "w^0*4", "w^(0) + 2", "w*0", ")", "", "0", "w + 0 + 0",
-         "3 + 0", "w^(w + 0)", "w^(0 + w*0)", "w + w^w + 1 + w^(w + 1)"],
+         "3 + 0", "w^(w + 0)", "w^(0 + w*0)", "w + w^w + 1 + w^(w + 1)",
+         # one of each error
+         "w^(w + 1", "w^(2 3)", "w^ x", "w * ", "1 2", "w^(9999999999)*0", "w^(("],
     )
     def test_parse_cases(self, text):
         same(parse, ref_parse, text)
@@ -671,6 +720,11 @@ class TestOrdinal:
     @given(texts)
     def test_parse_random(self, text):
         same(parse, ref_parse, text)
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1])
+    @pytest.mark.parametrize("inner", ["w^2", "w^(1)", "w^( x", " w^ ", "w^(w"])
+    def test_parse_at_the_nesting_cap(self, depth, inner):
+        same(parse, ref_parse, nested(depth, inner))
 
     @settings(max_examples=300, deadline=None)
     @given(ordinals, ordinals)

@@ -222,7 +222,8 @@ class TestPower:
         assert power_val(f) == REF_POWER_VAL
 
     def test_reference_shape(self):
-        assert reconstruct_power(REF_POWER_TREE, REF_POWER_VAL, REF_POWER_CODOMAIN).n == 12
+        f = reconstruct_power(REF_POWER_TREE, REF_POWER_VAL, REF_POWER_CODOMAIN)
+        assert len(f.images) == 12
         assert {len(p) for p in leaf_paths(REF_POWER_TREE)} == {4}
         assert out_degrees(REF_POWER_TREE)[:4] == (3, 2, 3, 2)
 
@@ -277,7 +278,7 @@ class TestPower:
             assert len(set(trees)) == len(trees)
             for t in trees:
                 v = tuple(tuple(range(k)) for k in out_degrees(t))
-                assert reconstruct_power(t, v, Power(tuple(range(n)), m)).n == n
+                assert len(reconstruct_power(t, v, Power(tuple(range(n)), m)).images) == n
                 assert {len(p) for p in leaf_paths(t)} == {m}
 
     def test_matches_embedding_scan(self, verify_sweep):

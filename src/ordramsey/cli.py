@@ -16,6 +16,7 @@ import sys
 from .chains import Leveled, SumTail
 from .degrees import (
     MAX_LISTED,
+    MAX_STEPS,
     ResourceCapError,
     check_cap,
     classify,
@@ -31,7 +32,7 @@ from .degrees import (
     exact_signed,
     pipeline_bound,
 )
-from .ordinal import OrdinalSyntaxError, parse
+from .ordinal import MAX_NESTING, OrdinalSyntaxError, parse
 from .typecalc import (
     check_word_levels,
     enum_additive,
@@ -205,6 +206,10 @@ def _cmd_types(args) -> int:
         print(count)
         return EXIT_OK
     check_cap(count, MAX_LISTED, "listed types")
+    if args.family == "mult":
+        check_cap(count * args.m, MAX_STEPS, "listed level counts")
+    if args.family == "power":
+        check_cap(args.m, MAX_NESTING, "tree levels")
     listing = listing(args)
     if args.json:
         _print_json(listing)
@@ -322,11 +327,6 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except RecursionError:
-        # _compositions and enum_power recurse once per level, so enough
-        # levels run out of stack before any cap on the listing's size applies
-        print("resource cap: the request recurses too deeply", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         # covers bad flag values and out-of-scope arguments alike

@@ -30,9 +30,10 @@ from typing import Iterable, Tuple
 
 from .chains import Record
 
-# Deepest parenthesized exponent the parser accepts.  Parsing, comparing,
-# arithmetic and printing recurse a few frames per level, so this keeps
-# them far from the interpreter's recursion limit.
+# Deepest parenthesized exponent the parser accepts, and the height of the
+# tallest tree types power lists.  Parsing, comparing, arithmetic and
+# printing recurse a few frames per level, and so does printing a tree as
+# JSON, so this keeps them far from the interpreter's recursion limit.
 MAX_NESTING = 100
 
 

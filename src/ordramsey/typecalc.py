@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from itertools import product
 from operator import sub
 from typing import Dict, Iterator, Tuple
 
@@ -163,14 +164,15 @@ def reconstruct_mult(t: MultiplicativeType, v: Chain, codomain: Leveled) -> Embe
 
 
 def _compositions(n: int, m: int) -> Iterator[Tuple[int, ...]]:
-    """Weak compositions of n into m parts, lexicographic."""
+    """Weak compositions of n into m parts, lexicographic: the gaps between
+    m - 1 bars among n + m - 1 places, the bars in lexicographic order."""
     if m == 0:
         if n == 0:
             yield ()
         return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, m - 1):
-            yield (first, *rest)
+    places = n + m - 1
+    for bars in itertools.combinations(range(places), m - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, places)))
 
 
 def _block_sequences(p: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], ...]]:
@@ -258,9 +260,7 @@ def enum_strict(n: int, m: int) -> tuple:
     """The m^n strict types, in lexicographic order of their words."""
     if n < 0 or m < 1:
         raise ValueError("need n >= 0 and m >= 1")
-    return tuple(
-        _strict_from_letters(w, m) for w in itertools.product(range(m), repeat=n)
-    )
+    return tuple(_strict_from_letters(w, m) for w in product(range(m), repeat=n))
 
 
 def enum_product_types(parts: Tuple[int, ...]) -> tuple:
@@ -442,23 +442,13 @@ def reconstruct_power(t: Tree, v: ValTuple, codomain: Power) -> Embedding:
     return Embedding(codomain, tuple(images))
 
 
-def _positive_compositions(n: int) -> tuple:
-    """Compositions of n into positive parts: first part ascending, then
-    the rest in the same order, built up from the compositions of k < n."""
-    comps = [((),)]
-    for k in range(1, n + 1):
-        comps.append(
-            tuple((first, *rest) for first in range(1, k + 1) for rest in comps[k - first])
-        )
-    return comps[n]
-
-
 @lru_cache(maxsize=None)
 def enum_power(n: int, m: int) -> tuple:
     """Ordered trees of height m with n leaves, all at depth m.
 
-    Pinned order: leaf counts of the root's children in composition
-    order (first part ascending), recursively.
+    Pinned order: leaf counts of the root's children in composition order
+    (first part ascending, then the rest in the same order), then the
+    children in product order, each in this order one height down.
     """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
@@ -468,8 +458,15 @@ def enum_power(n: int, m: int) -> tuple:
         # every leaf hangs off the root: listing the 2^(n - 1) compositions
         # would find only the all-ones one
         return (((),) * n,)
-    out = []
-    for comp in _positive_compositions(n):
-        for kids in itertools.product(*(enum_power(c, m - 1) for c in comp)):
-            out.append(tuple(kids))
-    return tuple(out)
+    comps = [((),)]  # comps[k]: the compositions of k, in the pinned order
+    for k in range(1, n + 1):
+        comps.append(tuple((i, *rest) for i in range(1, k + 1) for rest in comps[k - i]))
+    # trees[k], for k >= 1: the trees of the height built so far with k leaves,
+    # from height 1 up, each height's children taken from the one below
+    trees = [(((),) * k,) for k in range(n + 1)]
+    for _ in range(m - 1):
+        trees = [
+            tuple([kids for comp in comps[k] for kids in product(*[trees[c] for c in comp])])
+            for k in range(n + 1)
+        ]
+    return trees[n]

@@ -128,7 +128,7 @@ TOO_LARGE = [
     ("exact", "Z", "--n", "7001"),
     ("exact", "signed", "--n", "1000000000", "--signs", "+-"),
     ("exact", "signed", "--n", "7001", "--signs=+-"),
-    # listings whose levels outrun the stack before any cap on their size
+    # listings whose levels outrun the stack
     ("types", "mult", "--n", "1", "--m", "3000"),
     ("types", "power", "--n", "1", "--m", "1000"),
 ]
@@ -252,12 +252,22 @@ TOO_MUCH_WORK = [
     ("types", "strict", "--n", "12", "--m", "6"),
     ("types", "mult", "--n", "8", "--m", "4"),
     ("types", "product", "--parts", "3,3,3,3"),
+    # 21 540 and 93 625 records of as many levels as m, past 2e6 level counts
+    ("types", "mult", "--n", "2", "--m", "120"),
+    ("types", "mult", "--n", "2", "--m", "250"),
+    # trees taller than the parser lets exponents nest, the last before
+    # anything is built
+    ("types", "power", "--n", "3", "--m", "150"),
+    ("types", "power", "--n", "1", "--m", "101"),
+    ("types", "power", "--n", "1", "--m", "2000000"),
 ]
 
 # one type or coloring each over a thousand points or more
 LONG_LISTINGS = [
     ("types", "mult", "--n", "990", "--m", "1"),
     ("types", "mult", "--n", "1100", "--m", "1"),
+    # a thousand one-point types of a thousand level counts each
+    ("types", "mult", "--n", "1", "--m", "1000"),
     ("types", "product", "--parts", "1100"),
     ("witness", "product", "--parts", "1100", "--sizes", "1100"),
     # one empty pattern over 1e20 tail positions, listed without them

@@ -6,6 +6,8 @@
   level-count vectors past enumeration.
 * ``test_degrees.by_rank_double_sum``, the literal double sum, stands
   against the power and product rules' Horner pass.
+* ``ref_compositions``, one recursive call per part, stands against the
+  stars-and-bars weak compositions behind the multiplicative listing.
 * ``ref_cmp``, ``ref_add``, ``ref_mul`` and ``RefParser`` compare term by
   term and add one monomial at a time, where the package orders CNFs as
   tuples and normalises once in ``_sum``; ``RefParser`` reads regex
@@ -52,6 +54,7 @@ from ordramsey.ordinal import (
 )
 from ordramsey.typecalc import (
     MultiplicativeType,
+    _compositions,
     _strict_from_letters,
     enum_power,
     enum_product_types,
@@ -92,6 +95,18 @@ def ref_rank_counts(parts):
         if count:
             out.append((r, count))
     return tuple(out)
+
+
+def ref_compositions(n, m):
+    """Weak compositions of n into m parts, lexicographic: the first part
+    ascending, then the compositions of the rest, one call per part."""
+    if m == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(n + 1):
+        for rest in ref_compositions(n - first, m - 1):
+            yield (first, *rest)
 
 
 def ref_tail_table(inputs, table):
@@ -622,6 +637,11 @@ class TestCounts:
         vectors = [p for k in range(4) for p in itertools.product(range(7), repeat=k)]
         for parts in vectors + [(30,), (12, 20, 5), (1,) * 25]:
             same(rank_counts, ref_rank_counts, parts)
+
+    def test_compositions(self):
+        # every n, m <= 6, with no parts (m = 0) and nothing to share (n = 0)
+        for n, m in itertools.product(range(7), repeat=2):
+            assert list(_compositions(n, m)) == list(ref_compositions(n, m))
 
     def test_enum_power_order(self):
         # the listing order is pinned: every tree of n <= 7 leaves and

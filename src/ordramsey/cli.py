@@ -146,31 +146,42 @@ _TYPES = {
     ),
 }
 
-# witness family -> (coloring, instance of one size, palette size, embeddings
-# of an instance of one size, points of an instance of one size) for the
-# parsed arguments; the sizes come in closed form, so they bound a report
-# before it builds anything
+
+def _amounts(palette, points, parts):
+    """A witness report's listed objects (its palette and the tuples of
+    ``parts``-subsets of every instance's points) and, since an instance
+    may hold no object at all, its instance points: (amount, what) pairs."""
+    listed = palette + sum(math.prod(_subsets(p, k) for k in parts) for p in points)
+    return [(listed, "listed objects"), (sum(points), "instance points")]
+
+
+def _strict_amounts(args, sizes):
+    """The strict report's size, and the m level counts of each palette type."""
+    records = count_strict(args.n, args.m)
+    amounts = _amounts(records, [per_level * args.m for per_level in sizes], [args.n])
+    return amounts + [(records * args.m, "palette level counts")]
+
+
+# witness family -> (coloring, instance of one size, the amounts a report
+# of these sizes keeps under MAX_LISTED, in closed form, so that they bound
+# the report before it builds anything) for the parsed arguments
 _WITNESSES = {
     "additive": (
         lambda args: AdditiveWitness(args.n, args.m),
         lambda args, u: SumTail(tuple(range(u)), args.m),
-        lambda args: count_additive(args.n, args.m),
-        lambda args, u: _subsets(u + args.m, args.n),
-        lambda args, u: u + args.m,
+        lambda args, sizes: _amounts(
+            count_additive(args.n, args.m), [u + args.m for u in sizes], [args.n]
+        ),
     ),
     "strict": (
         lambda args: StrictWitness(args.n, args.m),
         lambda args, per_level: Leveled(spread(tuple(range(per_level * args.m)), args.m)),
-        lambda args: count_strict(args.n, args.m),
-        lambda args, per_level: _subsets(per_level * args.m, args.n),
-        lambda args, per_level: per_level * args.m,
+        _strict_amounts,
     ),
     "product": (
         lambda args: ProductWitness(_parts(args)),
         lambda args, u: tuple(range(u)),
-        lambda args: count_product(_parts(args)),
-        lambda args, u: math.prod(_subsets(u, k) for k in _parts(args)),
-        lambda args, u: u,
+        lambda args, sizes: _amounts(count_product(_parts(args)), sizes, _parts(args)),
     ),
 }
 
@@ -225,33 +236,21 @@ def _cmd_witness(args) -> int:
     sizes = _parse_sizes(args.sizes, "--sizes")
     if min(sizes) < 0:
         raise ValueError("--sizes must be >= 0")
-    make_coloring, make_instance, palette, embeddings, points = _WITNESSES[args.family]
-    records = palette(args)
-    check_cap(records + sum(embeddings(args, u) for u in sizes), MAX_LISTED, "listed objects")
-    # an instance may hold no embedding at all, and a palette type may be
-    # long, so the listed objects alone do not bound what is built
-    check_cap(sum(points(args, u) for u in sizes), MAX_LISTED, "instance points")
-    if args.family == "strict":
-        check_cap(records * args.m, MAX_LISTED, "palette level counts")
+    make_coloring, make_instance, amounts = _WITNESSES[args.family]
+    for amount, what in amounts(args, sizes):
+        check_cap(amount, MAX_LISTED, what)
     coloring = make_coloring(args)
-    rows = [
-        (str(u), coloring.palette, sorted(realized_colors(coloring, make_instance(args, u))))
-        for u in sizes
-    ]
+    palette = coloring.palette
+    rows = [(u, sorted(realized_colors(coloring, make_instance(args, u)))) for u in sizes]
     if args.json:
-        _print_json(
-            {
-                "family": args.family,
-                "rows": [
-                    {"sizes": s, "palette": p, "realized": len(c), "colors": c}
-                    for s, p, c in rows
-                ],
-            }
-        )
+        rows = [
+            {"sizes": str(u), "palette": palette, "realized": len(c), "colors": c} for u, c in rows
+        ]
+        _print_json({"family": args.family, "rows": rows})
     else:
         print("sizes,palette,realized")
-        for s, p, c in rows:
-            print(f"{s},{p},{len(c)}")
+        for u, c in rows:
+            print(f"{u},{palette},{len(c)}")
     return EXIT_OK
 
 

@@ -10,7 +10,8 @@ exhaustive over the instance, never sampled.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence, Set, Tuple
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence, Set, Tuple
 
 from .chains import Chain, Embedding, Leveled, SumTail, _as_chain, enumerate_embeddings
 from .typecalc import (
@@ -23,29 +24,40 @@ from .typecalc import (
 )
 
 
-class AdditiveWitness:
+class Witness:
+    """Colors an object by the index of its type in a pinned type listing.
+
+    ``type_of`` maps an object to a type of ``types``, and ``domain``
+    lists the objects of an instance; the palette is the whole listing.
+    """
+
+    def __init__(self, types: Sequence, type_of: Callable, domain: Callable):
+        self._index = {t: i for i, t in enumerate(types)}
+        self.palette = len(self._index)
+        self.type_of = type_of
+        self.domain = domain
+
+    def color_of(self, x) -> int:
+        return self._index[self.type_of(x)]
+
+
+def _embeddings(n: int, kind: type, m: int, codomain) -> Iterator[Embedding]:
+    """The n-point embeddings into a ``kind`` codomain of m levels."""
+    if not isinstance(codomain, kind) or codomain.m != m:
+        raise ValueError(f"expected a {kind.__name__} codomain with m = {m}")
+    return enumerate_embeddings(n, codomain)
+
+
+def AdditiveWitness(n: int, m: int) -> Witness:
     """Colors embeddings into a SumTail codomain by their tail pattern.
 
     Color 0 is the empty pattern (image inside the base); the palette is
     the full additive type count sum_{j<=n} C(m, j).
     """
-
-    def __init__(self, n: int, m: int):
-        self.n = n
-        self.m = m
-        self._index = {t: i for i, t in enumerate(enum_additive(n, m))}
-        self.palette = len(self._index)
-
-    def color_of(self, f: Embedding) -> int:
-        return self._index[additive_type(f)]
-
-    def domain(self, codomain: SumTail) -> Iterator[Embedding]:
-        if not isinstance(codomain, SumTail) or codomain.m != self.m:
-            raise ValueError(f"expected a SumTail codomain with m = {self.m}")
-        return enumerate_embeddings(self.n, codomain)
+    return Witness(enum_additive(n, m), additive_type, partial(_embeddings, n, SumTail, m))
 
 
-class StrictWitness:
+def StrictWitness(n: int, m: int) -> Witness:
     """Colors embeddings into a Leveled codomain by their strict type.
 
     Strict types are indexed in word order, m^n in all; any non-strict
@@ -53,24 +65,16 @@ class StrictWitness:
     per-level values) collisions cannot occur and the full m^n palette is
     realized.
     """
+    types = enum_strict(n, m)
 
-    def __init__(self, n: int, m: int):
-        self.n = n
-        self.m = m
-        self._index = {t: i for i, t in enumerate(enum_strict(n, m))}
-        self.palette = len(self._index)
-
-    def color_of(self, f: Embedding) -> int:
+    def type_of(f: Embedding):
         t = mult_type(f)
-        return self._index[t] if t.is_strict else 0
+        return t if t.is_strict else types[0]
 
-    def domain(self, codomain: Leveled) -> Iterator[Embedding]:
-        if not isinstance(codomain, Leveled) or codomain.m != self.m:
-            raise ValueError(f"expected a Leveled codomain with m = {self.m}")
-        return enumerate_embeddings(self.n, codomain)
+    return Witness(types, type_of, partial(_embeddings, n, Leveled, m))
 
 
-class ProductWitness:
+def ProductWitness(parts: Sequence[int]) -> Witness:
     """Colors tuples of chains by the type of their leveled concatenation.
 
     A tuple (A_0, ..., A_{s-1}) with |A_i| = parts[i] concatenates into
@@ -78,34 +82,30 @@ class ProductWitness:
     type indexes the palette, the realizable types with exactly these
     level counts.
     """
+    parts = tuple(int(x) for x in parts)
 
-    def __init__(self, parts: Sequence[int]):
-        self.parts = tuple(int(x) for x in parts)
-        self._index = {t: i for i, t in enumerate(enum_product_types(self.parts))}
-        self.palette = len(self._index)
-        self.n = sum(self.parts)
-
-    def color_of(self, chains: Tuple[Chain, ...]) -> int:
+    def type_of(chains: Tuple[Chain, ...]):
         chains = tuple(_as_chain(c) for c in chains)
-        if len(chains) != len(self.parts) or any(
-            len(c) != k for c, k in zip(chains, self.parts)
-        ):
-            raise ValueError(f"expected chains of sizes {self.parts}")
-        values = (v for chain in chains for v in chain)
-        return self._index[_leveled_type(self.parts, values)]
+        if len(chains) != len(parts) or any(len(c) != k for c, k in zip(chains, parts)):
+            raise ValueError(f"expected chains of sizes {parts}")
+        return _leveled_type(parts, (v for chain in chains for v in chain))
 
-    def domain(self, universe: Iterable[int]) -> Iterator[Tuple[Chain, ...]]:
+    def domain(universe: Iterable[int]) -> Iterator[Tuple[Chain, ...]]:
         universe = _as_chain(universe)
-        pools = [itertools.combinations(universe, k) for k in self.parts]
+        pools = [itertools.combinations(universe, k) for k in parts]
         return itertools.product(*pools)
+
+    return Witness(enum_product_types(parts), type_of, domain)
 
 
 def spread(source: Sequence[int], m: int) -> Tuple[Chain, ...]:
     """Split a chain into m levels, level i taking every m-th element
-    starting at the i-th.  Distinct levels never share a value, which is
-    what keeps the strict witness collision-free."""
+    starting at the i-th; an empty source gives m empty levels.  Distinct
+    levels never share a value, which keeps the strict witness collision-free."""
     source = _as_chain(source)
-    if len(source) < m or m < 1:
+    if m < 1:
+        raise ValueError(f"need m >= 1 levels, not {m}")
+    if 0 < len(source) < m:
         raise ValueError(f"need at least m = {m} source points")
     return tuple(source[i::m] for i in range(m))
 

@@ -466,6 +466,16 @@ class TestWitness:
         assert row["realized"] == 3
         assert row["colors"] == [0, 1, 2]
 
+    @pytest.mark.parametrize("n,realized", [(2, 0), (1, 0), (0, 1)])
+    def test_strict_size_zero(self, capsys, n, realized):
+        # no source points give m empty levels, which hold only the empty
+        # embedding
+        code, out, err = run_cli(
+            capsys, "witness", "strict", "--n", str(n), "--m", "3", "--sizes", "0"
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines() == ["sizes,palette,realized", f"0,{3 ** n},{realized}"]
+
     def test_product_needs_parts(self, capsys):
         code, _, err = run_cli(capsys, "witness", "product", "--sizes", "3")
         assert code == EXIT_PARSE

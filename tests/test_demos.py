@@ -1,22 +1,16 @@
-"""Every narrative script under demos/ runs to completion, and the
-package's top level binds exactly what those scripts and the benchmark
-import from it."""
+"""Every narrative script under demos/ runs to completion and prints
+what ``tests/data/golden.json`` recorded, and the package's top level
+binds exactly what those scripts and the benchmark import from it."""
 
 from __future__ import annotations
 
 import ast
-import os
-import subprocess
-import sys
 import types
-from pathlib import Path
 
 import pytest
 
 import ordramsey
-
-ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from test_golden import DEMOS, ROOT, load, run_demo
 
 
 def test_all_six_demos_found():
@@ -25,14 +19,9 @@ def test_all_six_demos_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(script)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_demo(script)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == load()["demos"][script.name]
 
 
 def imported_from_package(script):

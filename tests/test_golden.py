@@ -2,9 +2,11 @@
 
 ``tests/data/golden.json`` records stdout, stderr and the exit code of
 ``classify`` and ``bound`` (text and ``--json``) over every classifier
-route, plus the full ``verify`` output.  Refactors must reproduce it
-exactly.  Regenerate it only for a deliberate output change, with
-``PYTHONPATH=src python3 tests/test_golden.py``.
+route; of small ``witness`` reports, one refusal per ``witness`` cap, and
+small ``types`` and ``exact`` listings of every family; the full
+``verify`` output; and the stdout of every script under ``demos/``.
+Refactors must reproduce it exactly.  Regenerate it only for a
+deliberate output change, with ``PYTHONPATH=src python3 tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from ordramsey.cli import main
@@ -19,6 +24,8 @@ from ordramsey.degrees import RULES, classify, pipeline_bound, replay_trace
 from ordramsey.ordinal import parse
 
 FIXTURE = Path(__file__).parent / "data" / "golden.json"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 ROUTES = (
     # finite chains and the exact families
@@ -30,6 +37,32 @@ ROUTES = (
     "w^w", "w^(w + 1)*2 + w^3 + 4", "w^(w^w) + 1",
     # malformed input
     "", "w^", "w +", "x", "w*0", "w^(w", "1 + ", "w^2*",
+)
+
+# one small report, listing or value per family, each as text and --json
+FAMILIES = (
+    ("witness", "additive", "--n", "2", "--m", "3", "--sizes", "0,1,2"),
+    ("witness", "strict", "--n", "2", "--m", "3", "--sizes", "1,2"),
+    ("witness", "product", "--parts", "2,1", "--sizes", "2,3,6"),
+    ("types", "additive", "--n", "2", "--m", "2"),
+    ("types", "mult", "--n", "2", "--m", "2"),
+    ("types", "strict", "--n", "2", "--m", "2"),
+    ("types", "power", "--n", "3", "--m", "2"),
+    ("types", "product", "--parts", "2,1"),
+    ("exact", "omega", "--n", "3"),
+    ("exact", "omega+m", "--n", "2", "--m", "3"),
+    ("exact", "omega*m", "--n", "3", "--m", "2"),
+    ("exact", "Z", "--n", "3"),
+    ("exact", "signed", "--n", "2", "--signs", "+-"),
+)
+
+# a refusal by each witness cap (listed objects, instance points, palette
+# level counts), and a product report without its --parts
+REFUSED = (
+    ("witness", "strict", "--n", "6", "--m", "6", "--sizes", "12"),
+    ("witness", "additive", "--n", "0", "--m", "0", "--sizes", "10000000"),
+    ("witness", "strict", "--n", "1", "--m", "5000", "--sizes", "1"),
+    ("witness", "product", "--sizes", "3"),
 )
 
 
@@ -44,6 +77,11 @@ def cases():
         yield [command, "w^2", "--n", "6"]
         yield [command, "w^3", "--n", "3", "--cap", "2"]
         yield [command, "w^2", "--n", "-1"]
+    for argv in FAMILIES:
+        for extra in ((), ("--json",)):
+            yield [*argv, *extra]
+    for argv in REFUSED:
+        yield list(argv)
 
 
 def run(argv):
@@ -56,12 +94,32 @@ def run(argv):
     return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def run_demo(script):
+    """The finished process of one demo script, run on this tree's package."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def record():
-    return {"cli": [run(argv) for argv in cases()], "verify": run(["verify"])}
+    return {
+        "cli": [run(argv) for argv in cases()],
+        "verify": run(["verify"]),
+        "demos": {script.name: run_demo(script).stdout for script in DEMOS},
+    }
 
 
 def load():
     return json.loads(FIXTURE.read_text())
+
+
+def degree_entries():
+    """The recorded ``classify`` and ``bound`` runs, which carry traces."""
+    return [g for g in load()["cli"] if g["argv"][0] in ("classify", "bound")]
 
 
 def test_cli_output_matches_fixture():
@@ -80,7 +138,7 @@ def test_traces_use_every_rule():
     # a rule that no derivation emits has no place in RULES
     used = {
         step["rule"]
-        for g in load()["cli"]
+        for g in degree_entries()
         if g["code"] == 0 and "--json" in g["argv"]
         for step in json.loads(g["stdout"])["result"]["trace"]
     }
@@ -89,7 +147,7 @@ def test_traces_use_every_rule():
 
 def test_every_trace_replays():
     replayed = 0
-    for g in load()["cli"]:
+    for g in degree_entries():
         command, expr, _, n = g["argv"][:4]
         if g["code"] != 0:
             continue

@@ -790,14 +790,14 @@ class TestProductWitness:
         # the palette type of a tuple's colour, given the tuple's values,
         # reconstructs the tuple's points on its levels
         w = ProductWitness(parts)
-        palette = enum_product_types(w.parts)
+        palette = enum_product_types(parts)
         for u in range(7):
             for chains in w.domain(range(u)):
                 points = tuple((v, level) for level, chain in enumerate(chains) for v in chain)
                 values = sorted({v for chain in chains for v in chain})
                 assert mult_points(palette[w.color_of(chains)], values) == points
         # wrong sizes, and chains that are no chains
-        sizes = f"expected chains of sizes {w.parts}"
+        sizes = f"expected chains of sizes {parts}"
         first = tuple(range(parts[0] + 1))
         for chains, message in [
             ((), sizes),

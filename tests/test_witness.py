@@ -77,7 +77,7 @@ class TestProductWitness:
     def test_full_palette_realized(self, parts):
         w = ProductWitness(parts)
         # a universe of size 2n leaves room for every collision pattern
-        assert realized_colors(w, range(2 * w.n)) == set(range(w.palette))
+        assert realized_colors(w, range(2 * sum(parts))) == set(range(w.palette))
 
     def test_color_is_type_index(self):
         w = ProductWitness((1, 1))
@@ -102,3 +102,15 @@ class TestSpread:
     def test_too_short(self):
         with pytest.raises(ValueError):
             spread((0, 1), 3)
+
+    def test_empty_source_gives_empty_levels(self):
+        # the instance of size 0: no embedding of n >= 1 points, and the
+        # one empty embedding of n = 0 points
+        assert spread((), 3) == ((), (), ())
+        assert realized_colors(StrictWitness(2, 3), Leveled(spread((), 3))) == set()
+        assert realized_colors(StrictWitness(0, 3), Leveled(spread((), 3))) == {0}
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_needs_a_level(self, m):
+        with pytest.raises(ValueError, match="need m >= 1"):
+            spread((0, 1), m)

@@ -179,48 +179,42 @@ def _block_sequences(p: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], ...]
     """Realizable ordered partitions for level counts p.
 
     A block holds at most one index per level, so a type is a sequence of
-    nonempty level sets using level l exactly p[l] times; blocks then name
-    their indices by how often each level was used before.  Level sets are
-    tried in ascending bitmask order, which pins the output order; only
-    sets of levels with p[l] > 0 can occur, so only those are built.  The
-    search keeps its own stack, so a long listing needs no deep recursion.
+    nonempty level sets using level l exactly p[l] times; a block names its
+    indices by how often each level was used before it.  Only levels with
+    p[l] > 0 can occur, so only those are built.  Pinned order: the first
+    block's level set in ascending bitmask order, then the rest of the
+    sequence in this order.
+
+    ``tails[rem]`` lists the sequences that use the live levels rem times
+    each, as (first block, rest) pairs.  Each rest is an entry of a smaller
+    vector's list, shared rather than copied, and the product order fills
+    every smaller vector first.  A sequence is flattened once, at the end.
     """
-    m = len(p)
-    starts = list(itertools.accumulate(p, initial=0))  # starts[l] = sum(p[:l])
-    live = [l for l in range(m) if p[l]]
+    first = list(itertools.accumulate(p, initial=0))  # first[l] = sum(p[:l])
+    live = [l for l in range(len(p)) if p[l]]
+    full = tuple(p[l] for l in live)
     # bit i stands for live[i], which keeps the ascending order of the masks
     masks = [
-        tuple(l for i, l in enumerate(live) if mask >> i & 1)
-        for mask in range(1, 1 << len(live))
+        [i for i in range(len(live)) if mask >> i & 1] for mask in range(1, 1 << len(live))
     ]
-
-    remaining, used = list(p), [0] * m
-    blocks, chosen = [], []  # chosen[k] indexes the level set of blocks[k]
-    nxt = 0  # the next level set to try after blocks
-    while True:
-        if not any(remaining):
-            yield tuple(blocks)
-            nxt = len(masks)  # nothing is left to place, so backtrack
-        while nxt < len(masks) and any(remaining[l] == 0 for l in masks[nxt]):
-            nxt += 1
-        if nxt < len(masks):
-            levels = masks[nxt]
-            # levels ascend, and so do their next free indices
-            blocks.append(tuple(starts[l] + used[l] for l in levels))
-            for l in levels:
-                remaining[l] -= 1
-                used[l] += 1
-            chosen.append(nxt)
-            nxt = 0
-        elif chosen:
-            nxt = chosen.pop()
-            blocks.pop()
-            for l in masks[nxt]:
-                remaining[l] += 1
-                used[l] -= 1
-            nxt += 1
-        else:
-            return
+    tails = {}
+    for rem in product(*(range(c + 1) for c in full)):
+        # the all-zero vector comes first and is the one with no block to place
+        row = tails[rem] = [] if any(rem) else [()]
+        for mask in masks:
+            if all(rem[i] for i in mask):
+                # levels ascend, and so do their next free indices
+                block = tuple(first[live[i]] + full[i] - rem[i] for i in mask)
+                rest = list(rem)
+                for i in mask:
+                    rest[i] -= 1
+                row += [(block, tail) for tail in tails[tuple(rest)]]
+    for node in tails[full]:
+        blocks = []
+        while node:
+            block, node = node
+            blocks.append(block)
+        yield tuple(blocks)
 
 
 def enum_mult(n: int, m: int) -> tuple:

@@ -292,8 +292,8 @@ class TestWorkCap:
 
     @pytest.mark.parametrize("argv", LONG_LISTINGS, ids=" ".join)
     def test_long_listing_needs_no_deep_stack(self, capsys, argv):
-        # the listing keeps its own stack, so the caller's depth does not
-        # change the exit code or the output
+        # no listing recurses, so the caller's depth does not change the exit
+        # code or the output
         top = run_cli(capsys, *argv)
         assert top[0] == EXIT_OK and top[2] == ""
         assert deeper(100, lambda: run_cli(capsys, *argv)) == top

@@ -7,7 +7,9 @@
 * ``test_degrees.by_rank_double_sum``, the literal double sum, stands
   against the power and product rules' Horner pass.
 * ``ref_compositions``, one recursive call per part, stands against the
-  stars-and-bars weak compositions behind the multiplicative listing.
+  stars-and-bars weak compositions behind the multiplicative listing, and
+  ``ref_block_sequences``, one recursive call per block, against the table
+  of shared tails that lists each level-count vector's block sequences.
 * ``ref_cmp``, ``ref_add``, ``ref_mul`` and ``RefParser`` compare term by
   term and add one monomial at a time, where the package orders CNFs as
   tuples and normalises once in ``_sum``; ``RefParser`` reads regex
@@ -54,6 +56,7 @@ from ordramsey.ordinal import (
 )
 from ordramsey.typecalc import (
     MultiplicativeType,
+    _block_sequences,
     _compositions,
     _strict_from_letters,
     enum_power,
@@ -107,6 +110,38 @@ def ref_compositions(n, m):
     for first in range(n + 1):
         for rest in ref_compositions(n - first, m - 1):
             yield (first, *rest)
+
+
+def ref_block_sequences(p):
+    """Block sequences for level counts p, one recursive call per block: the
+    level sets of live levels in ascending bitmask order, each index named
+    by how often its level was used before."""
+    starts = [sum(p[:l]) for l in range(len(p))]
+    live = [l for l in range(len(p)) if p[l]]
+    masks = [
+        tuple(l for i, l in enumerate(live) if mask >> i & 1)
+        for mask in range(1, 1 << len(live))
+    ]
+
+    def rec(remaining, used, acc):
+        if all(r == 0 for r in remaining):
+            yield tuple(acc)
+            return
+        for levels in masks:
+            if any(remaining[l] == 0 for l in levels):
+                continue
+            block = tuple(starts[l] + used[l] for l in levels)
+            for l in levels:
+                remaining[l] -= 1
+                used[l] += 1
+            acc.append(tuple(sorted(block)))
+            yield from rec(remaining, used, acc)
+            acc.pop()
+            for l in levels:
+                remaining[l] += 1
+                used[l] -= 1
+
+    yield from rec(list(p), [0] * len(p), [])
 
 
 def ref_tail_table(inputs, table):
@@ -642,6 +677,16 @@ class TestCounts:
         # every n, m <= 6, with no parts (m = 0) and nothing to share (n = 0)
         for n, m in itertools.product(range(7), repeat=2):
             assert list(_compositions(n, m)) == list(ref_compositions(n, m))
+
+    def test_block_sequences(self):
+        # every level-count vector of up to four entries in 0..3 summing to
+        # at most 6, with no levels and with empty levels, (0, 2, 0, 1) among them
+        vectors = [
+            p for k in range(5) for p in itertools.product(range(4), repeat=k) if sum(p) <= 6
+        ]
+        assert len(vectors) == 225
+        for p in vectors:
+            assert list(_block_sequences(p)) == list(ref_block_sequences(p))
 
     def test_enum_power_order(self):
         # the listing order is pinned: every tree of n <= 7 leaves and

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 from math import comb
 
 import pytest
@@ -173,6 +174,18 @@ class TestMultEnumeration:
     def test_product_forced_chain(self):
         (only,) = enum_product_types((2,))
         assert only.blocks == ((0,), (1,))
+
+    def test_product_listing_shares_its_tails(self):
+        # 301 types of up to 151 blocks: a table that copied every suffix
+        # instead of sharing it would hold about 2 * 150^3 / 3 block references
+        tracemalloc.start()
+        try:
+            types = enum_product_types((150, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(types) == 301
+        assert peak < 12e6
 
     def test_rank_counts_match_enumeration(self):
         for parts in [(1, 1), (2,), (2, 1), (1, 1, 1), (2, 2), (3, 1)]:

@@ -1,15 +1,13 @@
 """Finite chains, structured codomains, and order embeddings.
 
-A chain is a strictly increasing tuple of natural labels.  Four codomain
+A chain is a strictly increasing tuple of natural labels.  Three codomain
 shapes cover the targets the degree calculus works inside:
 
 * :class:`SumTail`   -- a base chain followed by an m-point tail (A + m),
 * :class:`Leveled`   -- per-level chains U_0 + ... + U_{m-1} inside A*m,
   ordered level-major: (a, l) precedes (b, k) iff l < k, or l = k and a < b,
 * :class:`Power`     -- m-tuples over a base chain in antilexicographic
-  order, last coordinate dominant,
-* :class:`Signed`    -- a sum of finite parts each read forwards ('+') or
-  backwards ('-'), the backwards parts standing for reversed copies.
+  order, last coordinate dominant.
 
 An :class:`Embedding` records its codomain and the image points of
 0 < 1 < ... < n-1 in increasing codomain order.  Construction does not
@@ -28,9 +26,6 @@ from operator import attrgetter, ge
 from typing import Iterator, Tuple, Union
 
 Chain = Tuple[int, ...]
-
-PLUS = "+"
-MINUS = "-"
 
 
 def _as_chain(values) -> Chain:
@@ -122,29 +117,15 @@ class Power(Record):
         object.__setattr__(self, "m", m)
 
 
-class Signed(Record):
-    """Parts in order, each a finite chain tagged '+' (as is) or '-' (reversed)."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Tuple[Tuple[Chain, str], ...]):
-        cleaned = []
-        for part, sign in parts:
-            if sign not in (PLUS, MINUS):
-                raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-            cleaned.append((_as_chain(part), sign))
-        object.__setattr__(self, "parts", tuple(cleaned))
-
-
-Codomain = Union[SumTail, Leveled, Power, Signed]
+Codomain = Union[SumTail, Leveled, Power]
 
 
 @lru_cache(maxsize=None)
 def order_points(codomain: Codomain) -> tuple:
     """All points of the codomain in increasing order.
 
-    SumTail and Leveled and Signed points are (value, level) pairs; Power
-    points are the m-tuples themselves.
+    SumTail and Leveled points are (value, level) pairs; Power points are
+    the m-tuples themselves.
     """
     if isinstance(codomain, SumTail):
         base = tuple((v, 0) for v in codomain.base)
@@ -160,12 +141,6 @@ def order_points(codomain: Codomain) -> tuple:
         return tuple(
             t[::-1] for t in itertools.product(codomain.base, repeat=codomain.m)
         )
-    if isinstance(codomain, Signed):
-        points = []
-        for index, (part, sign) in enumerate(codomain.parts):
-            values = part if sign == PLUS else part[::-1]
-            points.extend((v, index) for v in values)
-        return tuple(points)
     raise TypeError(f"not a codomain: {codomain!r}")
 
 
@@ -199,38 +174,3 @@ def enumerate_embeddings(n: int, codomain: Codomain) -> Iterator[Embedding]:
         raise ValueError("n must be >= 0")
     for combo in itertools.combinations(order_points(codomain), n):
         yield Embedding(codomain, combo)
-
-
-def leveled_of(signed: Signed) -> Leveled:
-    """The unsigned companion: same part chains, every sign read forwards."""
-    return Leveled(tuple(part for part, _ in signed.parts))
-
-
-def reverse_transport(f: Embedding) -> Embedding:
-    """Carry an embedding into a Signed codomain over to its unsigned companion.
-
-    Within each '-' part the value is replaced by its mirror image in that
-    part's chain; '+' parts pass through.  The point map is an involution,
-    so transporting back with :func:`reverse_transport_inverse` returns f.
-    """
-    signed = f.codomain
-    if not isinstance(signed, Signed):
-        raise TypeError("reverse_transport expects an embedding into Signed")
-    images = tuple(_transport_images(f.images, signed))
-    return Embedding(leveled_of(signed), images)
-
-
-def reverse_transport_inverse(g: Embedding, signed: Signed) -> Embedding:
-    """Inverse of :func:`reverse_transport` for the given Signed codomain."""
-    if not isinstance(g.codomain, Leveled):
-        raise TypeError("expected an embedding into Leveled")
-    if g.codomain != leveled_of(signed):
-        raise ValueError("codomain does not match the signed parts")
-    images = tuple(_transport_images(g.images, signed))
-    return Embedding(signed, images)
-
-
-def _transport_images(images, signed: Signed):
-    for value, index in images:
-        part, sign = signed.parts[index]
-        yield (value if sign == PLUS else part[len(part) - 1 - part.index(value)], index)

@@ -17,11 +17,8 @@ from .chains import (
     Embedding,
     Leveled,
     Power,
-    Signed,
     SumTail,
     enumerate_embeddings,
-    reverse_transport,
-    reverse_transport_inverse,
 )
 from .degrees import (
     RULES,
@@ -294,19 +291,6 @@ def check_roundtrips() -> Report:
     )
     trips = (strict_to_word(word_to_strict(text, m)) == text for text, m in words)
     _tally(report, "word-roundtrip", trips)
-
-    signed = (
-        (Signed(((tuple(range(a)), sa), (tuple(range(b)), sb))), a + b)
-        for a, b in itertools.product(sizes, repeat=2)
-        for sa, sb in itertools.product("+-", repeat=2)
-    )
-    trips = (
-        reverse_transport_inverse(reverse_transport(f), codomain) == f
-        for codomain, size in signed
-        for n in range(size + 1)
-        for f in enumerate_embeddings(n, codomain)
-    )
-    _tally(report, "transport-involution", trips)
 
     report.extend(check_reference_instances())
     return report

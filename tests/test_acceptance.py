@@ -169,7 +169,6 @@ def test_criterion_5_round_trips(capsys):
             "mult-roundtrip",
             "power-roundtrip",
             "word-roundtrip",
-            "transport-involution",
         ):
             entry = next(e for e in report.entries if e.name == name)
             assert entry.actual == 0

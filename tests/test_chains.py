@@ -1,8 +1,7 @@
-"""Codomain point orders, embedding enumeration, and sign transport."""
+"""Codomain point orders and embedding enumeration."""
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import pytest
@@ -11,14 +10,10 @@ from ordramsey.chains import (
     Embedding,
     Leveled,
     Power,
-    Signed,
     SumTail,
     check_embedding,
     enumerate_embeddings,
-    leveled_of,
     order_points,
-    reverse_transport,
-    reverse_transport_inverse,
 )
 
 
@@ -41,15 +36,10 @@ class TestOrderPoints:
         points = order_points(Power((0, 1, 2), 3))
         assert points.index((2, 2, 0)) < points.index((0, 0, 1))
 
-    def test_signed_reverses_negative_parts(self):
-        signed = Signed((((0, 1, 2), "-"), ((4, 5), "+")))
-        assert order_points(signed) == ((2, 0), (1, 0), (0, 0), (4, 1), (5, 1))
-
     def test_sizes(self):
         assert len(order_points(SumTail((5, 9), 2))) == 4
         assert len(order_points(Power((0, 1, 2), 3))) == 27
         assert len(order_points(Leveled(((0,), (0, 1))))) == 3
-        assert len(order_points(Signed((((0, 1), "-"),)))) == 2
 
 
 class TestValidation:
@@ -63,9 +53,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             Power((-1, 0), 1)
 
-    def test_bad_sign(self):
-        with pytest.raises(ValueError):
-            Signed((((0, 1), "x"),))
+    def test_order_points_refuses_other_values(self):
+        with pytest.raises(TypeError, match=r"^not a codomain: \(0, 1\)$"):
+            order_points((0, 1))
 
     def test_check_embedding(self):
         codomain = Leveled(((0, 1), (0, 1)))
@@ -84,7 +74,6 @@ class TestEnumeration:
             SumTail((0, 1, 2), 2),
             Leveled(((0, 1), (0, 1, 2))),
             Power((0, 1), 2),
-            Signed((((0, 1), "-"), ((0, 1, 2), "+"))),
         ],
     )
     def test_counts_and_validity(self, codomain):
@@ -101,49 +90,3 @@ class TestEnumeration:
         assert [f.images for f in enumerate_embeddings(0, codomain)] == [()]
         assert list(enumerate_embeddings(3, codomain)) == []
 
-
-class TestTransport:
-    def test_single_negative_part(self):
-        signed = Signed((((0, 1, 2), "-"),))
-        f = Embedding(signed, ((0, 0),))
-        g = reverse_transport(f)
-        assert g.codomain == Leveled(((0, 1, 2),))
-        assert g.images == ((2, 0),)
-
-    def test_transport_preserves_validity(self):
-        signed = Signed((((0, 1, 2), "-"), ((0, 1), "+")))
-        for n in range(6):
-            for f in enumerate_embeddings(n, signed):
-                check_embedding(reverse_transport(f))
-
-    def test_involution_exhaustive(self, verify_sweep):
-        # verify transports back and forth every embedding into two parts of
-        # sizes a, b <= 3 under each of the four sign pairs: 4 * 2^(a + b)
-        checked = sum(4 * 2 ** (a + b) for a, b in itertools.product((1, 2, 3), repeat=2))
-        assert f"[ok] transport-involution checked={checked}: 0" in verify_sweep.stdout.splitlines()
-
-    def test_transport_is_bijection(self):
-        signed = Signed((((0, 2, 5), "-"), ((1, 3), "-")))
-        forward = {
-            reverse_transport(f) for f in enumerate_embeddings(2, signed)
-        }
-        companion = leveled_of(signed)
-        assert companion == Leveled(((0, 2, 5), (1, 3)))
-        everything = set(enumerate_embeddings(2, companion))
-        assert forward == everything
-
-    def test_wrong_codomain_rejected(self):
-        leveled = Leveled(((0, 1),))
-        with pytest.raises(TypeError):
-            reverse_transport(Embedding(leveled, ((0, 0),)))
-
-    def test_inverse_needs_the_companion_levels(self):
-        signed = Signed((((0, 2, 5), "-"), ((1, 3), "+")))
-        g = Embedding(leveled_of(signed), ((0, 0), (1, 1)))
-        assert reverse_transport_inverse(g, signed).images == ((5, 0), (1, 1))
-        # other chains, fewer parts, or more parts than the signed codomain
-        for levels in (((0, 2, 5), (1, 4)), ((0, 2, 5),), ((0, 2, 5), (1, 3), ())):
-            with pytest.raises(ValueError, match="^codomain does not match the signed parts$"):
-                reverse_transport_inverse(Embedding(Leveled(levels), ()), signed)
-        with pytest.raises(TypeError):
-            reverse_transport_inverse(Embedding(signed, ()), signed)

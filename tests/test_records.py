@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ordramsey.chains import Embedding, Leveled, Power, Record, Signed, SumTail
+from ordramsey.chains import Embedding, Leveled, Power, Record, SumTail
 from ordramsey.degrees import DegreeResult, TraceStep
 from ordramsey.ordinal import parse
 from ordramsey.typecalc import AdditiveType, MultiplicativeType
@@ -27,10 +27,6 @@ RECORDS = [
     (SumTail((0, 1), 2), "SumTail(base=(0, 1), m=2)"),
     (Leveled(((0,), (1, 2))), "Leveled(levels=((0,), (1, 2)))"),
     (Power((0, 1), 2), "Power(base=(0, 1), m=2)"),
-    (
-        Signed((((0, 1), "-"), ((2,), "+"))),
-        "Signed(parts=(((0, 1), '-'), ((2,), '+')))",
-    ),
     (
         Embedding(Power((0, 1), 2), [(0, 1)]),
         "Embedding(codomain=Power(base=(0, 1), m=2), images=((0, 1),))",

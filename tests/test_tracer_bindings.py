@@ -95,7 +95,7 @@ def test_tracer_installs_and_cli_calls_through_wrappers():
         "witness.realized_colors",
     ]
     # the tracer counts verify's checks from the Report that run_all returns
-    assert got["counts"] == {"verify.checks": 221, "verify.mismatched": 0}
+    assert got["counts"] == {"verify.checks": 220, "verify.mismatched": 0}
     # the CLI's handlers and family tables reach each wrapped name, and
     # bound_pow and the finite-chain check are reached at their module
     # bindings; types product --count-only reaches product_bound and

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
+from pathlib import Path
 
 import pytest
 
-from ordramsey import cli, verify
+from ordramsey import cli, degrees, verify
 from ordramsey.degrees import RULES, Rule, count_product
 from ordramsey.verify import (
     MISMATCH,
@@ -157,16 +159,55 @@ class TestCheckSuites:
         } | {"product-count-all-ones"}
 
 
+@pytest.mark.parametrize(
+    "helper,mismatched",
+    [
+        ("exact_omega_plus_m", {"additive-count": 19}),
+        ("exact_omega_times_m", {"strict-count": 18}),
+        ("bound_mul", {"mult-count": 4}),
+        ("_power_table", {"power-bound": 24}),
+        ("_weights", {"mult-count": 6, "power-bound": 30}),
+    ],
+)
+def test_a_wrong_helper_fails_its_second_route(monkeypatch, helper, mismatched):
+    """Each degrees helper that a closed form or bound rule computes
+    through is caught by the lines that recompute it by enumeration.
+
+    This covers the helpers only: mutants of five rules as the pipeline
+    calls them (ROADMAP item 2) still pass the sweep.
+    """
+    right = getattr(degrees, helper)
+
+    def bumped(*args):
+        # 1 more on an int above 3, or on every entry from index 2 of a sequence
+        out = right(*args)
+        if isinstance(out, int):
+            return out + 1 if out > 3 else out
+        return type(out)(v + 1 if i >= 2 else v for i, v in enumerate(out))
+
+    monkeypatch.setattr(degrees, helper, bumped)
+    names = [e.name for e in verify.run_all().mismatches]
+    assert {name: names.count(name) for name in set(names)} == mismatched
+
+
 class TestRunAll:
     def test_default_sweep_summary(self, verify_sweep):
         report = verify_sweep.report
         assert report.ok
-        assert len(report.entries) == 221
-        assert sum(e.status == OK for e in report.entries) == 221
-        assert report.lines()[-1] == "221 checks: 221 ok, 0 flagged, 0 mismatched"
+        assert len(report.entries) == 220
+        assert sum(e.status == OK for e in report.entries) == 220
+        assert report.lines()[-1] == "220 checks: 220 ok, 0 flagged, 0 mismatched"
 
     def test_second_route_lines(self, verify_sweep):
         names = [e.name for e in verify_sweep.report.entries]
         counts = {name: names.count(name) for name in ("tail-bound", "finite-chain")}
         assert counts == {"tail-bound": 24, "finite-chain": 15}
         assert "finite-degree-oracle" not in names and "mult-enum-vs-scan" not in names
+
+    def test_readme_quotes_the_sweep_size(self, verify_sweep):
+        # the README states the sweep's size in prose and in its example
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        n = len(verify_sweep.report.entries)
+        assert re.findall(r"The sweep is fixed at (\d+) checks", readme) == [str(n)]
+        summaries = re.findall(r"^(\d+) checks: (\d+) ok, 0 flagged, 0 mismatched$", readme, re.M)
+        assert summaries == [(str(n), str(n))]

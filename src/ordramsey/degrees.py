@@ -249,17 +249,17 @@ def _check_n(n: int):
 
 
 def count_additive(n: int, m: int) -> int:
-    """len(enum_additive(n, m)): tail sets of at most n of m positions."""
+    """len(enum_additive(n, m)) = T(n, w + m), read from its rule."""
     if n < 0 or m < 0:
         raise ValueError("n and m must be >= 0")
-    return exact_omega_plus_m(n, m)
+    return RULES["omega-plus-m"].compute({"m": m, "n": n}, None)
 
 
 def count_strict(n: int, m: int) -> int:
-    """len(enum_strict(n, m)) = m^n, one type per word."""
+    """len(enum_strict(n, m)) = T(n, w*m) = m^n, read from its rule."""
     if n < 0 or m < 1:
         raise ValueError("need n >= 0 and m >= 1")
-    return exact_omega_times_m(n, m)
+    return RULES["omega-times-m"].compute({"m": m, "n": n}, None)
 
 
 def count_power(n: int, m: int) -> int:
@@ -337,8 +337,7 @@ def product_bound(parts: Sequence[int], table: Sequence[int]) -> int:
 
     ``table`` must cover ranks up to sum(parts).
     """
-    # sorted, so that equal multisets share one rank_counts cache entry
-    parts = tuple(sorted(map(int, parts)))
+    parts = tuple(map(int, parts))
     if any(x < 1 for x in parts):
         raise ValueError("parts must be positive")
     _check_table(table, sum(parts))
@@ -347,7 +346,7 @@ def product_bound(parts: Sequence[int], table: Sequence[int]) -> int:
 
 def bound_pow(n: int, m: int, table: Sequence[int]) -> int:
     """Power rule: T(n, a^m) <= sum over (n, m)-power types of the product
-    bound on their out-degree sequences.
+    bound on their out-degree sequences: rank n of the bound-pow rule's table.
 
     C(y^m, n) counts the trees whose internal vertices each carry a chain
     of y labels, as n-subsets of Power(range(y), m).  Out-degrees across a
@@ -356,7 +355,7 @@ def bound_pow(n: int, m: int, table: Sequence[int]) -> int:
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     _check_table(table, n * m)
-    return _power_table(table, m, n)[n]
+    return RULES["bound-pow"].compute({"d": m, "max_rank": n}, table)[n]
 
 
 def _power_table(table: Sequence[int], d: int, max_rank: int) -> tuple:

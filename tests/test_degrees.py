@@ -32,6 +32,8 @@ from ordramsey.degrees import (
     bound_mul,
     bound_pow,
     classify,
+    count_additive,
+    count_strict,
     exact_integers,
     exact_omega,
     exact_omega_plus_m,
@@ -70,6 +72,14 @@ class TestExactFamilies:
     @pytest.mark.parametrize("n,m", [(0, 3), (2, 1), (2, 3), (4, 2)])
     def test_omega_times_m(self, n, m):
         assert exact_omega_times_m(n, m) == m**n
+
+    def test_type_counts_are_the_degrees(self):
+        # types --count-only prints these counts; classify settles the same T
+        for n in range(6):
+            for m in range(7):
+                assert count_additive(n, m) == classify(parse(f"w + {m}"), n).value
+                if m >= 1:
+                    assert count_strict(n, m) == classify(parse(f"w*{m}"), n).value
 
     def test_signed_depends_only_on_part_count(self):
         assert exact_signed(3, "+-") == exact_signed(3, "--") == 8

@@ -92,7 +92,14 @@ class TestCheckSuites:
         assert lines[0] == "[mismatch] product-bound parts=(1, 1) table=ones: enumerated 3, formula 1003"
 
     @pytest.mark.parametrize(
-        "rule,name", [("bound-add", "tail-bound"), ("finite-chain-convention", "finite-chain")]
+        "rule,name",
+        [
+            ("bound-add", "tail-bound"),
+            ("finite-chain-convention", "finite-chain"),
+            ("omega-plus-m", "additive-count"),
+            ("omega-times-m", "strict-count"),
+            ("bound-pow", "power-bound"),
+        ],
     )
     def test_a_wrong_rule_fails_only_its_lines(self, monkeypatch, verify_sweep, rule, name):
         statement, compute = RULES[rule]
@@ -173,8 +180,8 @@ def test_a_wrong_helper_fails_its_second_route(monkeypatch, helper, mismatched):
     """Each degrees helper that a closed form or bound rule computes
     through is caught by the lines that recompute it by enumeration.
 
-    This covers the helpers only: mutants of five rules as the pipeline
-    calls them (ROADMAP item 2) still pass the sweep.
+    This covers the helpers; of the rules as the pipeline calls them, only
+    mutants of omega-times-m-table and subsum still pass the sweep.
     """
     right = getattr(degrees, helper)
 

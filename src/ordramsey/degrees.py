@@ -10,12 +10,13 @@ once a reaches w^w.
 Degree tables are plain sequences: ``table[j]`` holds the value (or an
 upper bound) of T(j, a) for the base ordinal a of the rule being applied.
 Every result carries a trace of rule applications; :data:`RULES` holds
-each rule's statement and formula once, and both the classifier and
-:func:`replay_trace` compute every step through it.
+each rule's statement and formula once, and the classifier,
+:func:`replay_trace` and the exact and count helpers compute through it.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from math import comb
 from operator import add, mul, sub
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
@@ -80,7 +81,9 @@ RULES = {
     ),
     "omega-times-m-table": Rule(
         "T(j, w*m) = m^j for j = 0..R",
-        lambda i, t: tuple(i["m"] ** j for j in range(i["max_rank"] + 1)),
+        lambda i, t: tuple(accumulate(repeat(i["m"], i["max_rank"]), mul, initial=1))[
+            : i["max_rank"] + 1  # a negative R gives ()
+        ],
     ),
     "bound-add": Rule(
         "T(n, a + m) <= sum_{j=0..n} C(m, j) * T(n - j, a)", _tail_rule
@@ -198,26 +201,22 @@ def exact_omega(n: int) -> int:
 
 
 def exact_omega_plus_m(n: int, m: int) -> int:
-    """T(n, w + m) = sum of C(m, j) for j <= n, which is 2^m once n >= m."""
+    """T(n, w + m) = sum_{j <= n} C(m, j), the bound-add rule over T(j, w) = 1."""
     _check_n(n)
     if m < 0:
         raise ValueError("m must be >= 0")
     # at most 2^m, and at most (m + 1)^n
     _check_bits(min(m + 1, n * (m + 1).bit_length()))
-    total, term = 0, 1
-    for j in range(min(m, n) + 1):
-        total += term
-        term = term * (m - j) // (j + 1)  # C(m, j + 1) from C(m, j)
-    return total
+    return RULES["bound-add"].compute({"m": m, "n": min(m, n)}, (1,) * (min(m, n) + 1))
 
 
 def exact_omega_times_m(n: int, m: int) -> int:
-    """T(n, w*m) = m^n."""
+    """T(n, w*m) = m^n, rank n of the omega-times-m-table rule."""
     _check_n(n)
     if m < 1:
         raise ValueError("m must be >= 1")
     _check_bits(n * m.bit_length())
-    return m**n
+    return RULES["omega-times-m-table"].compute({"m": m, "max_rank": n}, None)[n]
 
 
 def exact_signed(n: int, signs: Sequence[str]) -> int:
@@ -263,12 +262,13 @@ def count_strict(n: int, m: int) -> int:
 
 
 def count_power(n: int, m: int) -> int:
-    """len(enum_power(n, m)) = m^(n - 1): each two neighbouring leaves part
-    at one of the m depths."""
+    """len(enum_power(n, m)) = m^(n - 1), rank n - 1 of the omega-times-m-table
+    rule: two neighbouring leaves part at one of the m depths; 0^j = 0 for j >= 1."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
     _check_bits((n - 1) * m.bit_length())
-    return m ** (n - 1)
+    rank = n - 1 if m else min(n - 1, 1)
+    return RULES["omega-times-m-table"].compute({"m": m, "max_rank": rank}, None)[rank]
 
 
 def count_mult(n: int, m: int) -> int:
@@ -313,8 +313,9 @@ def bound_add(n: int, m: int, table: Sequence[int]) -> int:
     if m < 0:
         raise ValueError("m must be >= 0")
     _check_table(table, n)
-    # C(m, j) = 0 for j > m
-    return sum(comb(m, j) * table[n - j] for j in range(min(m, n) + 1))
+    # C(m, j + 1) from C(m, j), and C(m, j) = 0 for j > m
+    weights = accumulate(range(min(m, n)), lambda c, j: c * (m - j) // (j + 1), initial=1)
+    return sum(map(mul, weights, reversed(table[: n + 1])))
 
 
 def bound_mul(n: int, m: int, table: Sequence[int]) -> int:

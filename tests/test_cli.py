@@ -7,6 +7,7 @@ import importlib.util
 import io
 import itertools
 import json
+import math
 import resource
 import subprocess
 import sys
@@ -166,6 +167,32 @@ class TestAnswerCap:
         assert code == EXIT_OK
         model = json.loads(out)
         assert model.get("value", model.get("result", {}).get("value")) == value
+
+    # each exact family reads a rule: omega+m the tail rule over T(j, w) = 1,
+    # omega*m and power counts a running product of m; cheap at the cap
+    @pytest.mark.parametrize(
+        "argv,value",
+        [
+            (
+                ("exact", "omega+m", "--n", "13000", "--m", "13999"),
+                # C(m, j) = C(m, m - j): the ranks above 13000 mirror those below 999
+                2**13999 - sum(math.comb(13999, j) for j in range(999)),
+            ),
+            (
+                ("classify", "w*2 + 1023", "--n", "1076", "--cap", "2000"),
+                sum(math.comb(1023, j) * 2 ** (1076 - j) for j in range(1024)),
+            ),
+            (("exact", "omega*m", "--n", "7000", "--m", "3"), 3**7000),
+            (("types", "power", "--n", "7001", "--m", "3", "--count-only"), 3**7000),
+        ],
+        ids=["omega+m", "w*m + p", "omega*m", "power count"],
+    )
+    def test_admitted_request_at_the_cap_is_cheap(self, capsys, argv, value):
+        start = time.process_time()
+        code, out, _ = run_cli(capsys, *argv)
+        assert time.process_time() - start < 1.0
+        assert code == EXIT_OK
+        assert out.splitlines()[0].split()[-1] == str(value)
 
 
 class TestBound:

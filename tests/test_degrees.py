@@ -26,6 +26,7 @@ from ordramsey.degrees import (
     RULES,
     DegreeResult,
     ResourceCapError,
+    Rule,
     TraceStep,
     _weights,
     bound_add,
@@ -33,6 +34,7 @@ from ordramsey.degrees import (
     bound_pow,
     classify,
     count_additive,
+    count_power,
     count_strict,
     exact_integers,
     exact_omega,
@@ -80,6 +82,17 @@ class TestExactFamilies:
                 assert count_additive(n, m) == classify(parse(f"w + {m}"), n).value
                 if m >= 1:
                     assert count_strict(n, m) == classify(parse(f"w*{m}"), n).value
+
+    def test_power_count_over_no_depths_reads_a_short_table(self, monkeypatch):
+        # 0^j = 0 for j >= 1, so n passes no bits cap and must not size the table
+        statement, compute = RULES["omega-times-m-table"]
+
+        def short_only(inputs, table):
+            assert inputs["max_rank"] <= 1
+            return compute(inputs, table)
+
+        monkeypatch.setitem(RULES, "omega-times-m-table", Rule(statement, short_only))
+        assert [count_power(n, 0) for n in (1, 2, 10**18)] == [1, 0, 0]
 
     def test_signed_depends_only_on_part_count(self):
         assert exact_signed(3, "+-") == exact_signed(3, "--") == 8

@@ -82,10 +82,12 @@ def test_tracer_installs_and_cli_calls_through_wrappers():
     # the witness reports list their palettes, type their objects and
     # enumerate their instances through the names witness binds, and
     # realize their colors through the name cli binds; product's palette
-    # count reaches product_bound and rank_counts through degrees
+    # count reaches product_bound and rank_counts through degrees, and
+    # additive's reaches bound_add through the omega-plus-m rule
     assert got["witness_spans"] == [
         "chains.enumerate_embeddings",
         "chains.order_points",
+        "degrees.bound_add",
         "degrees.product_bound",
         "typecalc.enum_additive",
         "typecalc.enum_product_types",

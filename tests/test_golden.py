@@ -2,8 +2,9 @@
 
 ``tests/data/golden.json`` records stdout, stderr and the exit code of
 ``classify`` and ``bound`` (text and ``--json``) over every classifier
-route; of small ``witness`` reports, one refusal per ``witness`` cap, and
-small ``types`` and ``exact`` listings of every family; the full
+route; of small ``witness`` reports, one refusal per ``witness`` and
+``types`` cap, small ``types`` and ``exact`` listings of every family,
+every family's ``types --count-only`` and an empty listing; the full
 ``verify`` output; and the stdout of every script under ``demos/``.
 Refactors must reproduce it exactly.  Regenerate it only for a
 deliberate output change, with ``PYTHONPATH=src python3 tests/test_golden.py``.
@@ -54,15 +55,29 @@ FAMILIES = (
     ("exact", "omega*m", "--n", "3", "--m", "2"),
     ("exact", "Z", "--n", "3"),
     ("exact", "signed", "--n", "2", "--signs", "+-"),
+    # the bare count of every type family, and an empty listing
+    ("types", "additive", "--n", "2", "--m", "2", "--count-only"),
+    ("types", "mult", "--n", "2", "--m", "2", "--count-only"),
+    ("types", "strict", "--n", "2", "--m", "2", "--count-only"),
+    ("types", "power", "--n", "3", "--m", "2", "--count-only"),
+    ("types", "product", "--parts", "2,1", "--count-only"),
+    ("types", "power", "--n", "2", "--m", "0"),
 )
 
 # a refusal by each witness cap (listed objects, instance points, palette
-# level counts), and a product report without its --parts
+# level counts), and a product report without its --parts; a refusal by
+# each types cap (listed types, listed level counts, tree levels); an
+# exact answer past its bits cap, and an exact request out of scope
 REFUSED = (
     ("witness", "strict", "--n", "6", "--m", "6", "--sizes", "12"),
     ("witness", "additive", "--n", "0", "--m", "0", "--sizes", "10000000"),
     ("witness", "strict", "--n", "1", "--m", "5000", "--sizes", "1"),
     ("witness", "product", "--sizes", "3"),
+    ("types", "strict", "--n", "12", "--m", "6"),
+    ("types", "mult", "--n", "2", "--m", "120"),
+    ("types", "power", "--n", "1", "--m", "101"),
+    ("exact", "omega*m", "--n", "5000", "--m", "9"),
+    ("exact", "omega", "--n", "-1"),
 )
 
 

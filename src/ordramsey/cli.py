@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: classify, exact, bound, types, witness, verify.  JSON is
-the machine contract (``--json`` where it is not the default); identical
-inputs produce byte-identical output.  Exit codes: 0 success, 1 failed
-verification, 2 parse or usage error, 3 resource cap exceeded.
+Subcommands: classify, exact, bound, types, witness, verify.  Each
+prints text lines, or under ``--json`` its JSON model, the machine
+contract; ``verify`` has no ``--json``, and ``types --count-only`` prints
+the bare count in both forms.  Identical inputs produce byte-identical
+output.  Exit codes: 0 success, 1 failed verification, 2 parse or usage
+error, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -49,12 +51,6 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
-
-
-def _print_json(data) -> None:
-    import json  # only JSON output needs it; a module-level import costs every call
-
-    print(json.dumps(data, indent=2))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,53 +182,44 @@ _WITNESSES = {
 }
 
 
-def _cmd_degree(args) -> int:
+# Each handler computes its result and returns (exit code, JSON model,
+# text lines); main prints one form of it.
+
+
+def _cmd_degree(args):
     entry = classify if args.command == "classify" else pipeline_bound
     result = entry(parse(args.ordinal), args.n, cap=args.cap)
-    if args.json:
-        _print_json({"input": args.ordinal, "n": args.n, "result": result.as_json()})
-        return EXIT_OK
     value = "infinity" if result.kind == "infinite" else result.value
     if result.kind == "finite-unbounded":
         value = "finite (no value computed)"
-    print(f"T({args.n}, {args.ordinal}) [{result.kind}] = {value}")
-    for step in result.trace:
-        print(f"  {step.rule}: {step.anchor}")
-    return EXIT_OK
+    lines = [f"T({args.n}, {args.ordinal}) [{result.kind}] = {value}"]
+    lines += [f"  {step.rule}: {step.anchor}" for step in result.trace]
+    return EXIT_OK, {"input": args.ordinal, "n": args.n, "result": result.as_json()}, lines
 
 
-def _cmd_exact(args) -> int:
+def _cmd_exact(args):
     value, label = _EXACT[args.family](args)
-    if args.json:
-        _print_json({"family": args.family, "n": args.n, "value": value})
-    else:
-        print(f"T({args.n}, {label}) = {value}")
-    return EXIT_OK
+    model = {"family": args.family, "n": args.n, "value": value}
+    return EXIT_OK, model, [f"T({args.n}, {label}) = {value}"]
 
 
-def _cmd_types(args) -> int:
+def _cmd_types(args):
     listing, count = _TYPES[args.family]
     count = count(args)
     if args.count_only:
-        print(count)
-        return EXIT_OK
+        return EXIT_OK, count, [str(count)]
     check_cap(count, MAX_LISTED, "listed types")
     if args.family == "mult":
         check_cap(count * args.m, MAX_STEPS, "listed level counts")
     if args.family == "power":
         check_cap(args.m, MAX_NESTING, "tree levels")
     listing = listing(args)
-    if args.json:
-        _print_json(listing)
-    else:
-        import json
+    import json
 
-        for record in listing:
-            print(json.dumps(record))
-    return EXIT_OK
+    return EXIT_OK, listing, map(json.dumps, listing)
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args):
     sizes = _parse_sizes(args.sizes, "--sizes")
     if min(sizes) < 0:
         raise ValueError("--sizes must be >= 0")
@@ -242,23 +229,16 @@ def _cmd_witness(args) -> int:
     coloring = make_coloring(args)
     palette = coloring.palette
     rows = [(u, sorted(realized_colors(coloring, make_instance(args, u)))) for u in sizes]
-    if args.json:
-        rows = [
-            {"sizes": str(u), "palette": palette, "realized": len(c), "colors": c} for u, c in rows
-        ]
-        _print_json({"family": args.family, "rows": rows})
-    else:
-        print("sizes,palette,realized")
-        for u, c in rows:
-            print(f"{u},{palette},{len(c)}")
-    return EXIT_OK
+    lines = ["sizes,palette,realized"] + [f"{u},{palette},{len(c)}" for u, c in rows]
+    rows = [
+        {"sizes": str(u), "palette": palette, "realized": len(c), "colors": c} for u, c in rows
+    ]
+    return EXIT_OK, {"family": args.family, "rows": rows}, lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     report = run_all()
-    for line in report.lines():
-        print(line)
-    return EXIT_OK if report.ok else EXIT_FAILED
+    return EXIT_OK if report.ok else EXIT_FAILED, None, report.lines()
 
 
 @functools.cache
@@ -320,7 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, model, lines = args.func(args)
+        if getattr(args, "json", False):
+            import json  # only JSON output needs it; a module-level import costs every call
+
+            lines = [json.dumps(model, indent=2)]
+        for line in lines:
+            print(line)
+        return code
     except OrdinalSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -302,7 +302,12 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.fail("expected a number")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:
+            # past the interpreter's digit limit (sys.set_int_max_str_digits)
+            self.pos = start
+            self.fail("number too long")
 
 
 ZERO = Ordinal()

@@ -96,6 +96,21 @@ class TestClassify:
             f"parse error: {message}\n",
         )
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter converts numerals of any length",
+    )
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    @pytest.mark.parametrize("prefix", ["", "w*", "w^"])
+    def test_overlong_numeral_is_a_parse_error(self, capsys, prefix, json_flag):
+        # a numeral past int()'s digit limit, whole, as a coefficient or as an exponent
+        numeral = "1" * (sys.get_int_max_str_digits() + 1)
+        assert run_cli(capsys, "classify", prefix + numeral, "--n", "1", *json_flag) == (
+            EXIT_PARSE,
+            "",
+            f"parse error: number too long (at position {len(prefix)})\n",
+        )
+
     @pytest.mark.parametrize("json_flag", [(), ("--json",)])
     @pytest.mark.parametrize(
         "depth,code",

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ordramsey.degrees import classify
 from ordramsey.ordinal import OMEGA, ONE, ZERO, Ordinal, OrdinalSyntaxError, parse
+
+# the most digits int() converts from a string here; 0 means no limit
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="this interpreter converts numerals of any length"
+)
 
 
 def ord_terms(exponents, coefficients):
@@ -78,6 +86,18 @@ class TestParse:
         with pytest.raises(OrdinalSyntaxError) as info:
             parse("w*0")
         assert info.value.position == 2
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("prefix", ["", "w*", "w^", "w^2 + "])
+    def test_overlong_numeral_position(self, prefix):
+        # int() refuses it; the parser reports where the numeral starts
+        with pytest.raises(OrdinalSyntaxError, match="number too long") as info:
+            parse(prefix + "1" * (DIGIT_LIMIT + 1))
+        assert info.value.position == len(prefix)
+
+    @needs_digit_limit
+    def test_numeral_at_the_digit_limit_parses(self):
+        assert parse("w*" + "1" * DIGIT_LIMIT) == ord_terms([1], [int("1" * DIGIT_LIMIT)])
 
 
 class TestFormat:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 from .chains import Leveled, SumTail
@@ -211,6 +212,8 @@ def _cmd_types(args):
     check_cap(count, MAX_LISTED, "listed types")
     if args.family == "mult":
         check_cap(count * args.m, MAX_STEPS, "listed level counts")
+    if args.family == "product":
+        check_cap(count * sum(_parts(args)), MAX_STEPS, "listed block indices")
     if args.family == "power":
         check_cap(args.m, MAX_NESTING, "tree levels")
     listing = listing(args)
@@ -307,6 +310,12 @@ def main(argv=None) -> int:
             lines = [json.dumps(model, indent=2)]
         for line in lines:
             print(line)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull, so
+        # the interpreter's own flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except OrdinalSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -399,41 +399,26 @@ def reconstruct_power(t: Tree, v: ValTuple, codomain: Power) -> Embedding:
     The i-th chain labels the children of the i-th internal vertex in
     :func:`internal_nodes` order and must match its out-degree.
     """
-    # internal vertices in internal_nodes order, where the internal children
-    # of each take consecutive places, starting at first[i] for vertex i
-    nodes, first = ([] if t == () else [t]), []
+    nodes = [] if t == () else [t]  # internal vertices, in internal_nodes order
     for node in nodes:
-        first.append(len(nodes))
         nodes += [child for child in node if child != ()]
     if len(v) != len(nodes):
-        raise ValueError(
-            f"got {len(v)} chains for {len(nodes)} internal vertices"
-        )
-    chains = []
+        raise ValueError(f"got {len(v)} chains for {len(nodes)} internal vertices")
+    # top-down: down[i] holds the labels from the root to internal vertex i,
+    # and leaves those to each leaf; the internal children of each vertex
+    # join down in the order nodes lists them
+    down, leaves = [()], []
     for i, (node, chain) in enumerate(zip(nodes, v)):
         chain = _as_chain(chain)
         if len(chain) != len(node):
             path = internal_nodes(t)[i][0]
-            raise ValueError(
-                f"chain {chain} does not fit out-degree {len(node)} at {path}"
-            )
-        chains.append(chain)
-
-    # bottom-up, so each internal child's images are ready before its parent
-    # takes them: a leaf's image is its own label, and an internal child's
-    # images, in their order, each gain its label as their last coordinate
-    images_of = [()] * len(nodes)
-    for i in reversed(range(len(nodes))):
-        images, below = [], first[i]
-        for label, child in zip(chains[i], nodes[i]):
-            if child == ():
-                images.append((label,))
-            else:
-                images += [image + (label,) for image in images_of[below]]
-                below += 1
-        images_of[i] = images
-    images = images_of[0] if nodes else ()
-    return Embedding(codomain, tuple(images))
+            raise ValueError(f"chain {chain} does not fit out-degree {len(node)} at {path}")
+        for label, child in zip(chain, node):
+            (leaves if child == () else down).append(down[i] + (label,))
+    # every chain increases, so two leaves' labels first differ below their
+    # lowest common ancestor, in left-to-right order, and neither is a prefix
+    # of the other: sorted order is depth-first order
+    return Embedding(codomain, tuple(labels[::-1] for labels in sorted(leaves)))
 
 
 @lru_cache(maxsize=None)

@@ -297,6 +297,8 @@ TOO_MUCH_WORK = [
     # 21 540 and 93 625 records of as many levels as m, past 2e6 level counts
     ("types", "mult", "--n", "2", "--m", "120"),
     ("types", "mult", "--n", "2", "--m", "250"),
+    # 2001 records of 1001 block indices each, past 2e6 indices
+    ("types", "product", "--parts", "1000,1"),
     # trees taller than the parser lets exponents nest, the last before
     # anything is built
     ("types", "power", "--n", "3", "--m", "150"),
@@ -621,6 +623,16 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "T(1, Z) = 2"
+
+    def test_closed_stdout_ends_cleanly(self):
+        # about 6 MB of records, far past a pipe's buffer, of which the
+        # reader takes 10 bytes before it closes the pipe
+        argv = [sys.executable, "-m", "ordramsey", "types", "strict", "--n", "8", "--m", "4"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (EXIT_OK, b"")
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_deep_nesting_exits_without_traceback(self, json_flag):

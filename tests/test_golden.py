@@ -21,7 +21,9 @@ import sys
 from pathlib import Path
 
 from ordramsey.cli import main
-from ordramsey.degrees import RULES, classify, pipeline_bound, replay_trace
+from ordramsey.degrees import (
+    RULES, DegreeResult, TraceStep, classify, pipeline_bound, replay_trace
+)
 from ordramsey.ordinal import parse
 
 FIXTURE = Path(__file__).parent / "data" / "golden.json"
@@ -66,8 +68,9 @@ FAMILIES = (
 
 # a refusal by each witness cap (listed objects, instance points, palette
 # level counts), and a product report without its --parts; a refusal by
-# each types cap (listed types, listed level counts, tree levels); an
-# exact answer past its bits cap, and an exact request out of scope
+# each types cap (listed types, listed level counts, tree levels, listed
+# block indices); an exact answer past its bits cap, and an exact request
+# out of scope
 REFUSED = (
     ("witness", "strict", "--n", "6", "--m", "6", "--sizes", "12"),
     ("witness", "additive", "--n", "0", "--m", "0", "--sizes", "10000000"),
@@ -76,6 +79,7 @@ REFUSED = (
     ("types", "strict", "--n", "12", "--m", "6"),
     ("types", "mult", "--n", "2", "--m", "120"),
     ("types", "power", "--n", "1", "--m", "101"),
+    ("types", "product", "--parts", "1000,1"),
     ("exact", "omega*m", "--n", "5000", "--m", "9"),
     ("exact", "omega", "--n", "-1"),
 )
@@ -171,6 +175,32 @@ def test_every_trace_replays():
         assert replay_trace(result) == result.value
         replayed += 1
     assert replayed > 100
+
+
+def stored_result(result):
+    """The ``DegreeResult`` a stored ``result`` object was printed from: JSON
+    holds a table step's tuple as a list."""
+    trace = []
+    for step in result["trace"]:
+        assert step["anchor"] == RULES[step["rule"]].statement
+        value = step["value"]
+        value = tuple(value) if isinstance(value, list) else value
+        trace.append(TraceStep(step["rule"], step["inputs"], value))
+    return DegreeResult(result["kind"], result.get("value"), tuple(trace))
+
+
+def test_every_stored_trace_replays():
+    # the traces the command line printed, not recomputed ones
+    replayed = 0
+    for g in degree_entries():
+        if g["code"] != 0 or "--json" not in g["argv"]:
+            continue
+        stored = json.loads(g["stdout"])["result"]
+        result = stored_result(stored)
+        assert result.as_json() == stored
+        assert replay_trace(result) == stored.get("value")
+        replayed += 1
+    assert replayed == 124
 
 
 if __name__ == "__main__":

@@ -116,30 +116,36 @@ _EXACT = {
     ),
 }
 
-# type family -> (its JSON records, how many there are in closed form) for
-# the parsed arguments
+# type family -> (its JSON records, how many there are in closed form, and the
+# (amount, cap, what) triples besides the count that a listing keeps under
+# their caps) for the parsed arguments
 _TYPES = {
     "additive": (
         lambda args: [t.as_json() for t in enum_additive(*_n_m(args))],
         lambda args: count_additive(*_n_m(args)),
+        lambda args, count: (),
     ),
     "mult": (
         lambda args: [t.as_json() for t in enum_mult(*_n_m(args))],
         lambda args: count_mult(*_n_m(args)),
+        lambda args, count: [(count * args.m, MAX_STEPS, "listed level counts")],
     ),
     "strict": (
         lambda args: [
             dict(t.as_json(), word=strict_to_word(t)) for t in enum_strict(*_n_m(args))
         ],
         lambda args: _strict_records(*_n_m(args)),
+        lambda args, count: (),
     ),
     "power": (
         lambda args: list(enum_power(*_n_m(args))),
         lambda args: count_power(*_n_m(args)),
+        lambda args, count: [(args.m, MAX_NESTING, "tree levels")],
     ),
     "product": (
         lambda args: [t.as_json() for t in enum_product_types(_parts(args))],
         lambda args: count_product(_parts(args)),
+        lambda args, count: [(count * sum(_parts(args)), MAX_STEPS, "listed block indices")],
     ),
 }
 
@@ -205,17 +211,12 @@ def _cmd_exact(args):
 
 
 def _cmd_types(args):
-    listing, count = _TYPES[args.family]
+    listing, count, extras = _TYPES[args.family]
     count = count(args)
     if args.count_only:
         return EXIT_OK, count, [str(count)]
-    check_cap(count, MAX_LISTED, "listed types")
-    if args.family == "mult":
-        check_cap(count * args.m, MAX_STEPS, "listed level counts")
-    if args.family == "product":
-        check_cap(count * sum(_parts(args)), MAX_STEPS, "listed block indices")
-    if args.family == "power":
-        check_cap(args.m, MAX_NESTING, "tree levels")
+    for amount, cap, what in [(count, MAX_LISTED, "listed types"), *extras(args, count)]:
+        check_cap(amount, cap, what)
     listing = listing(args)
     import json
 

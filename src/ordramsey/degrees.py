@@ -46,7 +46,8 @@ def _tail_rule(inputs: dict, table: tuple):
 
     Rank r of the table step is sum_{j <= min(m, r)} C(m, j) * table[r - j],
     so it adds copies of the table shifted by j and weighted by C(m, j);
-    it refuses what a per-rank bound_add would refuse, with its message.
+    it refuses what a per-rank bound_add would refuse, with its message,
+    then work past MAX_STEPS: min(m, R) passes of R + 1 multiply-adds.
     """
     m = inputs["m"]
     if "max_rank" not in inputs:
@@ -58,6 +59,7 @@ def _tail_rule(inputs: dict, table: tuple):
         raise ValueError("m must be >= 0")
     # a short table fails at the first rank it misses
     _check_table(table, min(top, len(table)))
+    check_cap(min(m, top) * (top + 1), MAX_STEPS, "tail-rule steps")
     out = list(table[: top + 1])
     for j in range(1, min(m, top) + 1):
         weight = comb(m, j)
@@ -65,11 +67,24 @@ def _tail_rule(inputs: dict, table: tuple):
     return tuple(out)
 
 
+def _finite_chain_rule(inputs: dict, table: tuple) -> int:
+    """C(c, n) for c >= n, else 1; refused past the answer cap, as C(c, n) <= c^n."""
+    c, n = inputs["c"], inputs["n"]
+    _check_bits(n * c.bit_length())
+    return comb(c, n) if c >= n else 1
+
+
+def _m_table_rule(inputs: dict, table: tuple) -> tuple:
+    """(m^0, ..., m^R) as running products, refused past R * bitlen(m) bits; R < 0 gives ()."""
+    m, top = inputs["m"], inputs["max_rank"]
+    _check_bits(top * m.bit_length())
+    return tuple(accumulate(repeat(m, top), mul, initial=1))[: top + 1]
+
+
 RULES = {
     "zero-domain": Rule("T(0, C) = 1 for every chain C", lambda i, t: 1),
     "finite-chain-convention": Rule(
-        "convention: T(n, c) = C(c, n) for finite c >= n >= 1, else 1",
-        lambda i, t: comb(i["c"], i["n"]) if i["c"] >= i["n"] else 1,
+        "convention: T(n, c) = C(c, n) for finite c >= n >= 1, else 1", _finite_chain_rule
     ),
     "ramsey-omega": Rule("T(n, w) = 1", lambda i, t: 1),
     "omega-plus-m": Rule(
@@ -79,12 +94,7 @@ RULES = {
     "omega-times-m": Rule(
         "T(n, w*m) = m^n", lambda i, t: exact_omega_times_m(i["n"], i["m"])
     ),
-    "omega-times-m-table": Rule(
-        "T(j, w*m) = m^j for j = 0..R",
-        lambda i, t: tuple(accumulate(repeat(i["m"], i["max_rank"]), mul, initial=1))[
-            : i["max_rank"] + 1  # a negative R gives ()
-        ],
-    ),
+    "omega-times-m-table": Rule("T(j, w*m) = m^j for j = 0..R", _m_table_rule),
     "bound-add": Rule(
         "T(n, a + m) <= sum_{j=0..n} C(m, j) * T(n - j, a)", _tail_rule
     ),
@@ -119,6 +129,8 @@ MAX_ANSWER_BITS = 14_000
 # rule's prediction, sum_{j <= n} (j*d)^2 / 2, is a loose upper bound on
 # its one Horner pass of (n*d)^2 / 2 subtractions.  It also bounds the level
 # counts that types mult lists, records times m: --n 1 --m 1414 takes 0.9 s.
+# The tail rule's table step makes min(m, R) * (R + 1) multiply-adds, 1.1 s
+# in process at m = 10^6 and R = 1400.
 MAX_STEPS = 2_000_000
 # Most records types may list, and most objects a witness report may list
 # (palette types plus embeddings) or build (instance points, strict palette
@@ -215,7 +227,6 @@ def exact_omega_times_m(n: int, m: int) -> int:
     _check_n(n)
     if m < 1:
         raise ValueError("m must be >= 1")
-    _check_bits(n * m.bit_length())
     return RULES["omega-times-m-table"].compute({"m": m, "max_rank": n}, None)[n]
 
 
@@ -266,7 +277,6 @@ def count_power(n: int, m: int) -> int:
     rule: two neighbouring leaves part at one of the m depths; 0^j = 0 for j >= 1."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    _check_bits((n - 1) * m.bit_length())
     rank = n - 1 if m else min(n - 1, 1)
     return RULES["omega-times-m-table"].compute({"m": m, "max_rank": rank}, None)[rank]
 
@@ -366,7 +376,8 @@ def _power_table(table: Sequence[int], d: int, max_rank: int) -> tuple:
     past rank j*d vanish, and one W over ranks up to max_rank*d serves every
     j: rank j is sum_{y <= max_rank*d} C(y^d, j) * W[y].  The counts come
     from the rank before, C(N, j) = C(N, j - 1) * (N - j + 1) / j.  Refusals
-    are bound_pow's, rank by rank.
+    are bound_pow's, rank by rank, then the work's: sum_{j <= max_rank}
+    (j*d)^2 / 2 subtractions, loosely bounding the one Horner pass.
     """
     if max_rank < 1:
         return (1,)
@@ -375,6 +386,8 @@ def _power_table(table: Sequence[int], d: int, max_rank: int) -> tuple:
     for j in range(1, max_rank + 1):
         # a short table fails at the first rank it misses
         _check_table(table, j * d)
+    steps = d * d * max_rank * (max_rank + 1) * (2 * max_rank + 1) // 12
+    check_cap(steps, MAX_STEPS, "power-rule subtractions")
     w = _weights(table, max_rank * d)
     sizes = [y**d for y in range(len(w))]
     counts, out = sizes, [1, sum(map(mul, sizes, w))]  # C(y^d, 1) = y^d
@@ -422,9 +435,7 @@ def classify(a: Ordinal, n: int, cap: int = 5) -> DegreeResult:
     if n == 0:
         return _derive(EXACT, ("zero-domain", {"alpha": str(a), "n": 0}))
     if a.is_finite:
-        c = a.as_int()
-        _check_bits(n * c.bit_length())  # C(c, n) <= c^n
-        return _derive(EXACT, ("finite-chain-convention", {"c": c, "n": n}))
+        return _derive(EXACT, ("finite-chain-convention", {"c": a.as_int(), "n": n}))
     if not a.below_omega_omega():
         # the two kinds here are also the names of their rules
         kind = INFINITE if n >= 2 else FINITE_UNBOUNDED
@@ -480,10 +491,8 @@ def _pipeline(a: Ordinal, n: int):
     ranks up to the total out-degree of its trees.
 
     The answer is at most (m + 1)^R * C(R^d, n) * (tail + 1)^n, which also
-    bounds every table on the way, so that size is checked before any step.
-    So is the power rule's work, predicted as sum_{j <= n} (j*d)^2 / 2
-    subtractions: a loose upper bound on its one Horner pass over ranks up
-    to R, about R^2 / 2 of them.
+    bounds every table on the way, so that size is checked before any step;
+    each rule bounds its own work.
     """
     core = Ordinal(tuple((e, c) for e, c in a.terms if not e.is_zero))
     tail = a.terms[-1][1] if a.terms[-1][0].is_zero else 0
@@ -491,8 +500,6 @@ def _pipeline(a: Ordinal, n: int):
     d = core.terms[0][0].as_int()
     top = n * d
     _check_bits(top * ((m + 1).bit_length() + top.bit_length()) + n * (tail + 1).bit_length())
-    # sum_{j <= n} (j*d)^2 / 2
-    check_cap(d * d * n * (n + 1) * (2 * n + 1) // 12, MAX_STEPS, "power-rule subtractions")
     base = f"w*{m} + 1"
     steps = [
         ("omega-times-m-table", {"m": m, "max_rank": top}),
@@ -530,15 +537,33 @@ def _derive(kind: str, *steps) -> DegreeResult:
 def replay_trace(result: DegreeResult) -> Optional[int]:
     """Re-execute a trace from its recorded inputs and check every step.
 
-    Returns the reproduced value (None for the valueless kinds); raises
-    ValueError on any step that does not recompute to its recorded output.
+    Returns the reproduced value (None for the valueless kinds).  Raises
+    ValueError, naming the step, on a malformed step (a missing input, one
+    of the wrong type, a rank past its table) or on one that does not
+    recompute to its recorded output; a step past a cap raises
+    :class:`ResourceCapError`, since the rules refuse as they do for
+    :func:`classify`.
     """
     value = None
     replayed = _apply((step.rule, step.inputs) for step in result.trace)
-    for step, (rule, _, produced) in zip(result.trace, replayed):
+    for step in result.trace:
+        try:
+            _, _, produced = next(replayed)
+        except (LookupError, TypeError, AttributeError) as exc:
+            raise ValueError(f"step {step.rule} is malformed: {exc!r}") from exc
         if step.value is not None and produced != step.value:
-            raise ValueError(f"step {rule} replayed to {produced}, not {step.value}")
+            shown = f"{_shown(produced)}, not {_shown(step.value)}"
+            raise ValueError(f"step {step.rule} replayed to {shown}")
         value = None if isinstance(produced, tuple) else produced
     if value != result.value:
-        raise ValueError(f"trace replays to {value}, result holds {result.value}")
+        raise ValueError(f"trace replays to {_shown(value)}, result holds {_shown(result.value)}")
     return value
+
+
+def _shown(value) -> str:
+    """``value`` for a message, each int past MAX_ANSWER_BITS by its length: it may not print."""
+    if isinstance(value, tuple):
+        return f"({', '.join(map(_shown, value))})"
+    if isinstance(value, int) and value.bit_length() > MAX_ANSWER_BITS:
+        return f"<an int of {value.bit_length()} bits>"
+    return str(value)

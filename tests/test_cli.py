@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordramsey import degrees
 from ordramsey.cli import EXIT_FAILED, EXIT_OK, EXIT_PARSE, EXIT_RESOURCE, main
-from ordramsey.degrees import MAX_ANSWER_BITS, ResourceCapError, _pipeline
+from ordramsey.degrees import MAX_ANSWER_BITS, ResourceCapError, pipeline_bound
 from ordramsey.ordinal import MAX_NESTING, parse
 from ordramsey.typecalc import (
     enum_additive,
@@ -150,7 +151,53 @@ TOO_LARGE = [
 ]
 
 
+# one admitted request or more per route that predicts its answer's size, each
+# answer above 1: classify's finite, w + m, w*m, w*m + p and pipeline routes,
+# bound, every exact family but omega (always 1, so nothing to predict), and
+# every types count
+FITTED = [
+    ("classify", "5", "--n", "2"),
+    ("classify", "w + 3", "--n", "2"),
+    # n >= m: the answer is 2^m, m + 1 bits
+    ("classify", "w + 3", "--n", "5"),
+    ("classify", "w*3", "--n", "2"),
+    ("classify", "w*3 + 1", "--n", "1"),
+    ("classify", "w*3 + 2", "--n", "2"),
+    ("classify", "w*2 + 1023", "--n", "3"),
+    ("classify", "w^2", "--n", "2"),
+    ("classify", "w^2*3 + w + 4", "--n", "3"),
+    # a tail of 2^100 carries most of the answer's bits
+    ("classify", f"w^2 + {2**100}", "--n", "2"),
+    ("bound", "w*3", "--n", "2"),
+    ("bound", "w + 5", "--n", "3"),
+    # n * bitlen(m + 1) is the smaller prediction here, m + 1 at n = 5
+    ("exact", "omega+m", "--n", "1", "--m", "2"),
+    ("exact", "omega+m", "--n", "5", "--m", "3"),
+    ("exact", "omega*m", "--n", "3", "--m", "2"),
+    ("exact", "Z", "--n", "3"),
+    ("exact", "signed", "--n", "2", "--signs", "+-+"),
+    ("types", "additive", "--n", "4", "--m", "4", "--count-only"),
+    ("types", "mult", "--n", "3", "--m", "2", "--count-only"),
+    ("types", "strict", "--n", "3", "--m", "3", "--count-only"),
+    ("types", "power", "--n", "4", "--m", "2", "--count-only"),
+    ("types", "product", "--parts", "2,1", "--count-only"),
+]
+
+
 class TestAnswerCap:
+    @pytest.mark.parametrize("argv", FITTED, ids=" ".join)
+    def test_admitted_answer_fits_its_prediction(self, capsys, monkeypatch, argv):
+        # a cap one bit under the answer refuses the same request, so no
+        # prediction admits an answer longer than it predicts
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        value = int(out.splitlines()[0].split()[-1])
+        assert value > 1
+        monkeypatch.setattr(degrees, "MAX_ANSWER_BITS", value.bit_length() - 1)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err.endswith(f"bits of answer, over the cap of {value.bit_length() - 1}\n")
+
     @pytest.mark.parametrize("argv", TOO_LARGE, ids=lambda argv: " ".join(argv)[:40])
     def test_too_large_answer_is_a_resource_cap(self, capsys, argv):
         start = time.perf_counter()
@@ -352,10 +399,11 @@ class TestWorkCap:
 
     def test_power_rule_budget_admits_the_answer_cap(self):
         # w^214 at n = 5 sits at the answer cap, about 1.26e6 predicted subtractions
-        _pipeline(parse("w^214"), 5)
-        _pipeline(parse("w^2"), 140)
-        with pytest.raises(ResourceCapError):
-            _pipeline(parse("w^2"), 200)
+        # the power rule checks its own work, so each request runs through it
+        pipeline_bound(parse("w^214"), 5)
+        pipeline_bound(parse("w^2"), 140, cap=140)
+        with pytest.raises(ResourceCapError, match="power-rule subtractions"):
+            pipeline_bound(parse("w^2"), 200, cap=200)
 
     def test_benchmark_witness_inputs_are_admitted(self, capsys):
         for family, top in (("additive", 4), ("strict", 3)):

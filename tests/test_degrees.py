@@ -12,6 +12,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -319,6 +320,15 @@ class TestPowerTable:
         # bound_pow names its own rank's reach
         assert raised(bound_pow, 3, 2, (1,) * 3) == "table must cover 0..6, got length 3"
 
+    def test_work_is_capped_after_the_table_checks(self):
+        # 2 475 000 predicted subtractions pass MAX_STEPS, but a short table
+        # still fails first, with bound_pow's message
+        with pytest.raises(ResourceCapError, match=" 2475000 power-rule subtractions"):
+            bound_pow(5, 300, (1,) * 1501)
+        message = "table must cover 0..1500, got length 1500"
+        assert raised(bound_pow, 5, 300, (1,) * 1500) == message
+        assert bound_pow(5, 200, (1,) * 1001) > 1
+
     def test_replay_rejects_tampered_rank(self):
         r = classify(parse("w^2*3 + 1"), 3)
         at = [s.rule for s in r.trace].index("bound-pow")
@@ -532,3 +542,61 @@ class TestResultRecords:
         off = DegreeResult(UPPER_BOUND, r.value + 1, r.trace)
         with pytest.raises(ValueError):
             replay_trace(off)
+
+
+def hand_built(*steps, value=1):
+    """An upper-bound result over ``steps``, (rule, inputs) pairs that
+    record no outputs."""
+    return DegreeResult(UPPER_BOUND, value, tuple(TraceStep(*step) for step in steps))
+
+
+# 0^j = 0 for j >= 1, so this table passes every bits cap at any rank
+ZEROS = ("omega-times-m-table", {"m": 0, "max_rank": 4000})
+
+OVER_BUDGET = {
+    # 2^j to rank 20 000 is past the answer cap at the first step; the two
+    # tail steps after it cost O(R^2) big-integer work
+    "40000 bits of answer": (
+        ("omega-times-m-table", {"m": 2, "max_rank": 20000}),
+        ("bound-add", {"m": 3, "max_rank": 20000}),
+        ("bound-add", {"m": 0, "n": 20000}),
+    ),
+    "10000000 power-rule subtractions": (ZEROS, ("bound-pow", {"d": 2000, "max_rank": 2})),
+    "16004000 tail-rule steps": (ZEROS, ("bound-add", {"m": 10**6, "max_rank": 4000})),
+}
+
+MALFORMED = {
+    "omega-times-m-table is malformed: KeyError": (("omega-times-m-table", {"m": 2}),),
+    "omega-times-m-table is malformed: AttributeError": (
+        ("omega-times-m-table", {"m": "2", "max_rank": 3}),
+    ),
+    "subsum is malformed: IndexError": (
+        ("omega-times-m-table", {"m": 2, "max_rank": 3}),
+        ("subsum", {"n": 9}),
+    ),
+}
+
+
+class TestReplayRefusals:
+    """replay_trace runs the rules' own caps and names a malformed step."""
+
+    @pytest.mark.parametrize("what", OVER_BUDGET)
+    def test_over_budget_trace_is_a_resource_cap(self, what):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match=f"may need {what}, over the cap"):
+            replay_trace(hand_built(*OVER_BUDGET[what]))
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("what", MALFORMED)
+    def test_malformed_step_is_a_value_error(self, what):
+        with pytest.raises(ValueError, match=f"^step {what}"):
+            replay_trace(hand_built(*MALFORMED[what]))
+
+    def test_mismatch_names_a_huge_int_by_its_length(self):
+        table = ("omega-times-m-table", {"m": 2, "max_rank": 3})
+        huge, shown = 10**5000, "<an int of 16610 bits>"
+        with pytest.raises(ValueError, match=f"^trace replays to 4, result holds {shown}$"):
+            replay_trace(hand_built(table, ("subsum", {"n": 2}), value=huge))
+        step = TraceStep("subsum", {"n": 2}, huge)
+        with pytest.raises(ValueError, match=f"^step subsum replayed to 4, not {shown}$"):
+            replay_trace(DegreeResult(UPPER_BOUND, 4, (TraceStep(*table), step)))

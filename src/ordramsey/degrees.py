@@ -47,7 +47,8 @@ def _tail_rule(inputs: dict, table: tuple):
     Rank r of the table step is sum_{j <= min(m, r)} C(m, j) * table[r - j],
     so it adds copies of the table shifted by j and weighted by C(m, j);
     it refuses what a per-rank bound_add would refuse, with its message,
-    then work past MAX_STEPS: min(m, R) passes of R + 1 multiply-adds.
+    then work past MAX_STEPS: min(m, R) passes of R + 1 multiply-adds,
+    then a table past the answer cap.
     """
     m = inputs["m"]
     if "max_rank" not in inputs:
@@ -59,12 +60,25 @@ def _tail_rule(inputs: dict, table: tuple):
         raise ValueError("m must be >= 0")
     # a short table fails at the first rank it misses
     _check_table(table, min(top, len(table)))
-    check_cap(min(m, top) * (top + 1), MAX_STEPS, "tail-rule steps")
+    k = min(m, top)
+    check_cap(k * (top + 1), MAX_STEPS, "tail-rule steps")
+    _check_tail_bits(m, k, table[: top + 1])
     out = list(table[: top + 1])
-    for j in range(1, min(m, top) + 1):
+    for j in range(1, k + 1):
         weight = comb(m, j)
         out[j:] = map(add, out[j:], [weight * t for t in table[: top + 1 - j]])
     return tuple(out)
+
+
+def _check_tail_bits(m: int, k: int, entries: Sequence[int]):
+    """Refuse sum_{j <= k} C(m, j) * entry past the answer cap, from bit lengths alone.
+
+    The sum is at most t * S for t the largest |entry| and S = sum_{j <= k} C(m, j),
+    where t <= 2^bitlen(t - 1), S < 2^(m + 1) and, for k >= 1, S <= (m + 1)^k <
+    2^(k * bitlen(m + 1)); with t = 1 that is exact_omega_plus_m's own estimate.
+    """
+    t = max(map(abs, entries))
+    _check_bits((t - 1).bit_length() + min(m + 1, max(1, k * (m + 1).bit_length())))
 
 
 def _finite_chain_rule(inputs: dict, table: tuple) -> int:
@@ -75,9 +89,10 @@ def _finite_chain_rule(inputs: dict, table: tuple) -> int:
 
 
 def _m_table_rule(inputs: dict, table: tuple) -> tuple:
-    """(m^0, ..., m^R) as running products, refused past R * bitlen(m) bits; R < 0 gives ()."""
+    """(m^0, ..., m^R) as running products, refused past R * max(1, bitlen(m)) bits,
+    so that a table of zeros is bounded too; R < 0 gives ()."""
     m, top = inputs["m"], inputs["max_rank"]
-    _check_bits(top * m.bit_length())
+    _check_bits(top * max(1, m.bit_length()))
     return tuple(accumulate(repeat(m, top), mul, initial=1))[: top + 1]
 
 
@@ -323,8 +338,10 @@ def bound_add(n: int, m: int, table: Sequence[int]) -> int:
     if m < 0:
         raise ValueError("m must be >= 0")
     _check_table(table, n)
+    k = min(m, n)
+    _check_tail_bits(m, k, table[n - k : n + 1])
     # C(m, j + 1) from C(m, j), and C(m, j) = 0 for j > m
-    weights = accumulate(range(min(m, n)), lambda c, j: c * (m - j) // (j + 1), initial=1)
+    weights = accumulate(range(k), lambda c, j: c * (m - j) // (j + 1), initial=1)
     return sum(map(mul, weights, reversed(table[: n + 1])))
 
 

@@ -175,9 +175,7 @@ def check_type_counts() -> Report:
     for name, params, parts in products:
         report.add(name, params, count_product(parts), len(enum_product_types(parts)))
     counts("power-count", count_power, enum_power, itertools.product(range(1, 5), repeat=2))
-    mult = {(n, m): enum_mult(n, m) for n, m in itertools.product(range(4), repeat=2)}
-    for (n, m), types in mult.items():
-        report.add("mult-count", {"n": n, "m": m}, count_mult(n, m), len(types))
+    counts("mult-count", count_mult, enum_mult, itertools.product(range(4), repeat=2))
     # closed-form rank counts against the explicit enumeration
     for parts in ((1, 1), (2,), (1, 1, 1), (2, 1), (2, 2), (3, 1)):
         by_rank = {}
@@ -189,17 +187,6 @@ def check_type_counts() -> Report:
             dict(rank_counts(parts)),
             by_rank,
         )
-
-    # enumerated types against a full embedding scan
-    def scan(name, n, m, codomain, extract, listed):
-        scanned = {extract(f) for f in enumerate_embeddings(n, codomain)}
-        report.add(name, {"n": n, "m": m}, True, scanned == set(listed))
-
-    for n, m in itertools.product(range(4), range(1, 4)):
-        codomain = Leveled((tuple(range(n if n else 1)),) * m)
-        scan("mult-enum-set", n, m, codomain, mult_type, mult[n, m])
-    for n, m in itertools.product(range(1, 4), repeat=2):
-        scan("power-enum-set", n, m, Power(tuple(range(n)), m), power_type, enum_power(n, m))
     return report
 
 
@@ -249,48 +236,42 @@ def check_product_bound() -> Report:
 # -- round-trip checks -----------------------------------------------
 
 
-def _tally(report: Report, name: str, round_trips) -> None:
-    """One check line over a stream of round trips, each True when the
-    object came back unchanged: how many ran and how many failed."""
+def _sweep(report, family, codomain, ns, extract, reconstruct, listing) -> None:
+    """Round-trip each n-point embedding of codomain(s, m), n in ``ns`` and
+    s, m <= 3, once; the types found at s = max(n, 1) must be listing(n, m),
+    with one enum-set line per (n, m) even when the scan finds none."""
     checked = failures = 0
-    for same in round_trips:
-        checked += 1
-        failures += not same
-    report.add(name, {"checked": checked}, 0, failures)
+    scanned = {(n, m): set() for n in ns for m in range(1, 4)}
+    for m, s in itertools.product(range(1, 4), repeat=2):
+        target = codomain(s, m)
+        for n in ns:
+            for f in enumerate_embeddings(n, target):
+                t, v = extract(f)
+                checked += 1
+                failures += reconstruct(t, v, target) != f
+                if s == max(n, 1):
+                    scanned[n, m].add(t)
+    report.add(f"{family}-roundtrip", {"checked": checked}, 0, failures)
+    for (n, m), types in scanned.items():
+        report.add(f"{family}-enum-set", {"n": n, "m": m}, True, types == set(listing(n, m)))
 
 
 def check_roundtrips() -> Report:
     """Extraction and reconstruction as exact inverses, exhaustively, for
-    n, m and chain sizes up to 3."""
+    n, m and chain sizes up to 3, and the enumerated mult and power types
+    against the types that those embeddings realize."""
     report = Report()
-    levels = sizes = range(1, 4)
-
-    leveled = (Leveled((tuple(range(s)),) * m) for m in levels for s in sizes)
-    trips = (
-        reconstruct_mult(mult_type(f), mult_val(f), codomain) == f
-        for codomain in leveled
-        for n in range(4)
-        for f in enumerate_embeddings(n, codomain)
-    )
-    _tally(report, "mult-roundtrip", trips)
-
-    powers = (Power(tuple(range(s)), m) for m in levels for s in sizes)
-    trips = (
-        reconstruct_power(*_power_pass(f), codomain) == f
-        for codomain in powers
-        for n in range(1, 4)
-        for f in enumerate_embeddings(n, codomain)
-    )
-    _tally(report, "power-roundtrip", trips)
-
-    words = (
-        ("".join(word), m)
-        for n in range(7)
-        for m in range(1, 5)
-        for word in itertools.product("0123"[:m], repeat=n)
-    )
-    trips = (strict_to_word(word_to_strict(text, m)) == text for text, m in words)
-    _tally(report, "word-roundtrip", trips)
+    _sweep(report, "mult", lambda s, m: Leveled((tuple(range(s)),) * m), range(4),
+           lambda f: (mult_type(f), mult_val(f)), reconstruct_mult, enum_mult)
+    _sweep(report, "power", lambda s, m: Power(tuple(range(s)), m), range(1, 4),
+           _power_pass, reconstruct_power, enum_power)
+    checked = failures = 0
+    for n, m in itertools.product(range(7), range(1, 5)):
+        for word in itertools.product("0123"[:m], repeat=n):
+            text = "".join(word)
+            checked += 1
+            failures += strict_to_word(word_to_strict(text, m)) != text
+    report.add("word-roundtrip", {"checked": checked}, 0, failures)
 
     report.extend(check_reference_instances())
     return report

@@ -550,7 +550,7 @@ def hand_built(*steps, value=1):
     return DegreeResult(UPPER_BOUND, value, tuple(TraceStep(*step) for step in steps))
 
 
-# 0^j = 0 for j >= 1, so this table passes every bits cap at any rank
+# 0^j = 0 for j >= 1: a long table of one-bit entries, under the answer cap
 ZEROS = ("omega-times-m-table", {"m": 0, "max_rank": 4000})
 
 OVER_BUDGET = {
@@ -563,6 +563,15 @@ OVER_BUDGET = {
     ),
     "10000000 power-rule subtractions": (ZEROS, ("bound-pow", {"d": 2000, "max_rank": 2})),
     "16004000 tail-rule steps": (ZEROS, ("bound-add", {"m": 10**6, "max_rank": 4000})),
+    # a table of zeros is bounded by its length
+    "4000000 bits of answer": (("omega-times-m-table", {"m": 0, "max_rank": 4_000_000}),),
+    # both tail steps predict their output: C(10^6, 4000) has 37 616 bits,
+    # and rank 1400 of the table step 15 285
+    "80000 bits of answer": (ZEROS, ("bound-add", {"m": 10**6, "n": 4000})),
+    "28000 bits of answer": (
+        ("omega-times-m-table", {"m": 1, "max_rank": 1400}),
+        ("bound-add", {"m": 10**6, "max_rank": 1400}),
+    ),
 }
 
 MALFORMED = {

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from ordramsey import cli, degrees, verify
+from ordramsey.chains import Power
 from ordramsey.degrees import RULES, Rule, count_product
 from ordramsey.verify import (
     MISMATCH,
@@ -200,6 +201,46 @@ def test_a_wrong_helper_fails_its_second_route(monkeypatch, helper, mismatched):
     monkeypatch.setattr(degrees, helper, bumped)
     names = [e.name for e in verify.run_all().mismatches]
     assert {name: names.count(name) for name in set(names)} == mismatched
+
+
+def _mismatched():
+    return {(e.name, tuple(e.params.values())) for e in verify.run_all().mismatches}
+
+
+class TestSweepListings:
+    """The enum-set lines read the round-trip sweep's types, and still
+    check the listings against them."""
+
+    def test_a_dropped_mult_type_fails_its_count_and_set(self, monkeypatch):
+        right = verify.enum_mult
+        monkeypatch.setattr(
+            verify, "enum_mult", lambda n, m: right(n, m)[1:] if (n, m) == (2, 2) else right(n, m)
+        )
+        assert _mismatched() == {("mult-count", (2, 2)), ("mult-enum-set", (2, 2))}
+
+    def test_a_dropped_power_type_fails_every_line_reading_it(self, monkeypatch):
+        right = verify.enum_power
+        monkeypatch.setattr(
+            verify, "enum_power", lambda n, m: right(n, m)[1:] if (n, m) == (2, 2) else right(n, m)
+        )
+        assert _mismatched() == {
+            ("power-count", (2, 2)),
+            ("power-enum-set", (2, 2)),
+            ("power-bound", (2, 2, "ones")),
+            ("power-bound", (2, 2, "powers")),
+        }
+
+    def test_an_empty_scan_still_prints_its_line(self, monkeypatch):
+        right, empty = verify.enumerate_embeddings, Power(range(2), 2)
+        monkeypatch.setattr(
+            verify,
+            "enumerate_embeddings",
+            lambda n, codomain: iter(()) if codomain == empty else right(n, codomain),
+        )
+        lines = verify.run_all().lines()
+        assert [line for line in lines if line.startswith("[mismatch]")] == [
+            "[mismatch] power-enum-set n=2 m=2: enumerated False, formula True"
+        ]
 
 
 class TestRunAll:

@@ -90,9 +90,11 @@ def _finite_chain_rule(inputs: dict, table: tuple) -> int:
 
 def _m_table_rule(inputs: dict, table: tuple) -> tuple:
     """(m^0, ..., m^R) as running products, refused past R * max(1, bitlen(m)) bits,
-    so that a table of zeros is bounded too; R < 0 gives ()."""
+    so that a table of zeros is bounded too, then for m < 0; R < 0 gives ()."""
     m, top = inputs["m"], inputs["max_rank"]
     _check_bits(top * max(1, m.bit_length()))
+    if m < 0:
+        raise ValueError("m must be >= 0")
     return tuple(accumulate(repeat(m, top), mul, initial=1))[: top + 1]
 
 
@@ -119,7 +121,7 @@ RULES = {
     ),
     "subsum": Rule(
         "T(n, b) <= T(n, a) when b is a subsum of a's remainder-invariant summands",
-        lambda i, t: t[i["n"]],
+        lambda i, t: _check_n(i["n"]) or t[i["n"]],
     ),
     "infinite": Rule("T(n, a) = infinity for a >= w^w and n >= 2", lambda i, t: None),
     "finite-unbounded": Rule(
@@ -140,10 +142,9 @@ MAX_ANSWER_BITS = 14_000
 # a fresh process (Python 3.11, shared 2-vCPU machine): near the cap,
 # classify 'w^3' --n 109 --cap 200 takes 0.2 s and types product
 # --count-only over 1150 ones 1.3-1.5 s.  classify 'w^214' --n 5 is
-# predicted at about 1.26e6 power-rule steps and takes 0.3 s.  The power
-# rule's prediction, sum_{j <= n} (j*d)^2 / 2, is a loose upper bound on
-# its one Horner pass of (n*d)^2 / 2 subtractions.  It also bounds the level
-# counts that types mult lists, records times m: --n 1 --m 1414 takes 0.9 s.
+# predicted at about 1.26e6 power-rule steps and takes 0.3 s.  It also
+# bounds the level counts that types mult lists, records times m: --n 1
+# --m 1414 takes 0.9 s.
 # The tail rule's table step makes min(m, R) * (R + 1) multiply-adds, 1.1 s
 # in process at m = 10^6 and R = 1400.
 MAX_STEPS = 2_000_000
@@ -232,7 +233,8 @@ def exact_omega_plus_m(n: int, m: int) -> int:
     _check_n(n)
     if m < 0:
         raise ValueError("m must be >= 0")
-    # at most 2^m, and at most (m + 1)^n
+    # at most 2^m, and at most (m + 1)^n; it also bounds the all-ones table built
+    # here: without it, n = m = 10^9 ran for 118 s (Python 3.11, shared 2-vCPU machine)
     _check_bits(min(m + 1, n * (m + 1).bit_length()))
     return RULES["bound-add"].compute({"m": m, "n": min(m, n)}, (1,) * (min(m, n) + 1))
 
@@ -306,6 +308,7 @@ def count_mult(n: int, m: int) -> int:
         raise ValueError("n and m must be >= 0")
     if m == 0:
         return int(n == 0)
+    # also bounds the all-ones table, as exact_omega_plus_m's does (118 s without it)
     _check_bits(n * (m * n).bit_length() + (n + 1).bit_length())
     return bound_mul(n, m, (1,) * (n + 1))
 
@@ -321,6 +324,7 @@ def count_product(parts: Sequence[int]) -> int:
     if not parts or any(x < 1 for x in parts):
         raise ValueError("parts must be a nonempty tuple of positive sizes")
     total = sum(parts)
+    # also bounds the all-ones table, as exact_omega_plus_m's does (118 s without it)
     _check_bits((total + 1) * total.bit_length())
     check_cap(total * len(parts) + total * total // 2, MAX_STEPS, "big-integer steps")
     return product_bound(parts, (1,) * (total + 1))
@@ -390,11 +394,12 @@ def _power_table(table: Sequence[int], d: int, max_rank: int) -> tuple:
     """(1, bound_pow(1, d, table), ..., bound_pow(max_rank, d, table)).
 
     C(y^d, j) is a polynomial of degree j*d in y, so its forward differences
-    past rank j*d vanish, and one W over ranks up to max_rank*d serves every
-    j: rank j is sum_{y <= max_rank*d} C(y^d, j) * W[y].  The counts come
+    past rank j*d <= R = max_rank*d vanish, and one W over ranks up to R
+    serves every j: rank j is sum_{y <= R} C(y^d, j) * W[y].  The counts come
     from the rank before, C(N, j) = C(N, j - 1) * (N - j + 1) / j.  Refusals
     are bound_pow's, rank by rank, then the work's: sum_{j <= max_rank}
-    (j*d)^2 / 2 subtractions, loosely bounding the one Horner pass.
+    (j*d)^2 / 2 subtractions, loosely bounding the one Horner pass; then the
+    answer's, as rank j adds up at most C(R^d, j) < 2^(R * bitlen(R)) entries.
     """
     if max_rank < 1:
         return (1,)
@@ -405,7 +410,9 @@ def _power_table(table: Sequence[int], d: int, max_rank: int) -> tuple:
         _check_table(table, j * d)
     steps = d * d * max_rank * (max_rank + 1) * (2 * max_rank + 1) // 12
     check_cap(steps, MAX_STEPS, "power-rule subtractions")
-    w = _weights(table, max_rank * d)
+    top = max_rank * d
+    _check_bits(max(map(abs, table[: top + 1])).bit_length() + top * top.bit_length())
+    w = _weights(table, top)
     sizes = [y**d for y in range(len(w))]
     counts, out = sizes, [1, sum(map(mul, sizes, w))]  # C(y^d, 1) = y^d
     for j in range(2, max_rank + 1):
@@ -469,8 +476,6 @@ def classify(a: Ordinal, n: int, cap: int = 5) -> DegreeResult:
             return _derive(EXACT, ("omega-plus-m", {"m": tail, "n": n}))
         if tail == 0:
             return _derive(EXACT, ("omega-times-m", {"m": m, "n": n}))
-        # m^n * (tail + 1)^n bounds the tail rule's sum
-        _check_bits(n * (m.bit_length() + (tail + 1).bit_length()))
         return _derive(
             UPPER_BOUND,
             ("omega-times-m-table", {"m": m, "max_rank": n}),
@@ -506,21 +511,15 @@ def _pipeline(a: Ordinal, n: int):
     subsum of that expansion; a finite tail is then restored by the tail
     rule.  Tables run to rank R = n*d because the power rule consumes
     ranks up to the total out-degree of its trees.
-
-    The answer is at most (m + 1)^R * C(R^d, n) * (tail + 1)^n, which also
-    bounds every table on the way, so that size is checked before any step;
-    each rule bounds its own work.
     """
     core = Ordinal(tuple((e, c) for e, c in a.terms if not e.is_zero))
     tail = a.terms[-1][1] if a.terms[-1][0].is_zero else 0
     m = max(c for _, c in core.terms)
     d = core.terms[0][0].as_int()
-    top = n * d
-    _check_bits(top * ((m + 1).bit_length() + top.bit_length()) + n * (tail + 1).bit_length())
     base = f"w*{m} + 1"
     steps = [
-        ("omega-times-m-table", {"m": m, "max_rank": top}),
-        ("bound-add", {"m": 1, "max_rank": top}),
+        ("omega-times-m-table", {"m": m, "max_rank": n * d}),
+        ("bound-add", {"m": 1, "max_rank": n * d}),
         ("bound-pow", {"d": d, "max_rank": n}),
         ("subsum", {"core": str(core), "power_base": base, "exponent": d, "n": n}),
     ]

@@ -138,6 +138,8 @@ TOO_LARGE = [
     ("classify", f"w*{NINES} + 3", "--n", "5", "--json"),
     ("classify", NINES, "--n", "5"),
     ("classify", "w^400", "--n", "5"),
+    # the power rule's own answer cap: 13 500 bits of table and 500 * bitlen(500)
+    ("classify", "w^100*134217727", "--n", "5"),
     ("bound", "w^400", "--n", "5"),
     ("exact", "omega*m", "--n", "5000", "--m", "9"),
     ("exact", "omega*m", "--n", "1000000000", "--m", "9"),
@@ -759,3 +761,37 @@ def test_classify_bound_and_exact_end_in_an_exit_code(argv):
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_RESOURCE)
+
+
+@st.composite
+def near_cap_argv(draw):
+    """classify and bound requests on the w*m + p route and the pipeline,
+    with d <= 40, coefficients and tails up to thousands of bits and --cap
+    raised to n <= 1200: the answers and tables run up to the answer cap."""
+    # a few bits, or b bits for b up to 7000
+    wide = st.integers(1, 7000).flatmap(lambda b: st.integers(2 ** (b - 1), 2**b - 1))
+    coefficient = st.one_of(st.integers(1, 9), wide)
+    d = draw(st.integers(1, 40))
+    terms = [f"w^{d}*{draw(coefficient)}"]
+    if d > 1 and draw(st.booleans()):
+        terms.append(f"w*{draw(coefficient)}")
+    terms.append(str(draw(st.one_of(st.just(0), coefficient))))
+    n = draw(st.one_of(st.integers(1, 40), st.integers(1, 1200)))
+    command = draw(st.sampled_from(["classify", "bound"]))
+    return [command, " + ".join(terms), f"--n={n}", f"--cap={n}"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(near_cap_argv())
+def test_admission_near_the_answer_cap(argv):
+    # every admitted answer prints below 2^MAX_ANSWER_BITS, and every refusal is cheap
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    elapsed = time.perf_counter() - start
+    assert code in (EXIT_OK, EXIT_RESOURCE)
+    if code == EXIT_OK:
+        assert int(out.getvalue().splitlines()[0].split()[-1]).bit_length() <= MAX_ANSWER_BITS
+    else:
+        assert elapsed < 1.0

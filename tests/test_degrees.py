@@ -85,7 +85,8 @@ class TestExactFamilies:
                     assert count_strict(n, m) == classify(parse(f"w*{m}"), n).value
 
     def test_power_count_over_no_depths_reads_a_short_table(self, monkeypatch):
-        # 0^j = 0 for j >= 1, so n passes no bits cap and must not size the table
+        # 0^j = 0 for j >= 1, so a table to rank n - 1, refused past 14 000 ranks,
+        # must not be built
         statement, compute = RULES["omega-times-m-table"]
 
         def short_only(inputs, table):
@@ -329,6 +330,14 @@ class TestPowerTable:
         assert raised(bound_pow, 5, 300, (1,) * 1500) == message
         assert bound_pow(5, 200, (1,) * 1001) > 1
 
+    def test_answer_is_capped_after_the_work(self):
+        # ranks 0..500 of (2^27)^j, as OVER_BUDGET's bound-pow trace builds them
+        table = tuple(2 ** (27 * r) for r in range(501))
+        with pytest.raises(ResourceCapError, match=" 18001 bits of answer"):
+            bound_pow(5, 100, table)
+        with pytest.raises(ResourceCapError, match=" 10000000 power-rule subtractions"):
+            bound_pow(2, 2000, table * 9)
+
     def test_replay_rejects_tampered_rank(self):
         r = classify(parse("w^2*3 + 1"), 3)
         at = [s.rule for s in r.trace].index("bound-pow")
@@ -447,21 +456,29 @@ class TestClassifier:
         assert classify(parse("w^2"), 6, cap=6).kind == UPPER_BOUND
 
     @pytest.mark.parametrize("text", ["w^2*3 + w + 4", "w^3 + w^2*5", "w^4*2 + 1", "w^6"])
-    def test_pipeline_size_prediction_bounds_the_answer(self, text):
-        # (m + 1)^(n*d) * C((n*d)^d, n) * (tail + 1)^n bounds every value
+    def test_pipeline_size_prediction_bounds_the_answer(self, text, monkeypatch):
+        # at R = n*d the power rule predicts bitlen(max T[r]) + R * bitlen(R) bits,
+        # as rank j adds up at most C(R^d, j) entries; over the lifted table,
+        # T[r] <= (m + 1)^r, that is at most R * (bitlen(m + 1) + bitlen(R))
         a = parse(text)
         m = max(c for e, c in a.terms if not e.is_zero)
         d = a.terms[0][0].as_int()
-        tail = a.terms[-1][1] if a.terms[-1][0].is_zero else 0
+        power_rule = RULES["bound-pow"].compute
         for n in range(1, 5):
             top = n * d
-            bound = (m + 1) ** top * math.comb(top**d, n) * (tail + 1) ** n
-            predicted = top * ((m + 1).bit_length() + top.bit_length()) + n * (tail + 1).bit_length()
-            result = pipeline_bound(a, n)
-            assert result.value <= bound and bound.bit_length() <= predicted
-            for step in result.trace:
-                if isinstance(step.value, tuple):
-                    assert max(step.value) <= bound
+            _, lifted, power, *_ = pipeline_bound(a, n).trace
+            assert all(t <= (m + 1) ** r for r, t in enumerate(lifted.value))
+            assert all(v <= max(lifted.value) * math.comb(top**d, j) for j, v in enumerate(power.value))
+            predicted = max(lifted.value).bit_length() + top * top.bit_length()
+            assert max(power.value).bit_length() <= predicted
+            assert predicted <= top * ((m + 1).bit_length() + top.bit_length())
+            # the rule checks that prediction: a cap one bit under it refuses
+            monkeypatch.setattr(degrees, "MAX_ANSWER_BITS", predicted - 1)
+            with pytest.raises(ResourceCapError, match=f" {predicted} bits of answer"):
+                power_rule(power.inputs, lifted.value)
+            monkeypatch.setattr(degrees, "MAX_ANSWER_BITS", predicted)
+            assert power_rule(power.inputs, lifted.value) == power.value
+            monkeypatch.undo()
 
     def test_every_result_replays(self):
         inputs = ["0", "3", "w", "w + 2", "w*3", "w*2 + 1", "w^2", "w^2*2 + w + 3", "w^w"]
@@ -572,7 +589,37 @@ OVER_BUDGET = {
         ("omega-times-m-table", {"m": 1, "max_rank": 1400}),
         ("bound-add", {"m": 10**6, "max_rank": 1400}),
     ),
+    # (2^27)^j to rank 500 has 13 501 bits, and the power rule adds 500 * bitlen(500)
+    "18001 bits of answer": (
+        ("omega-times-m-table", {"m": 2**27, "max_rank": 500}),
+        ("bound-pow", {"d": 100, "max_rank": 5}),
+    ),
+    # the one-step exact rules: C(10^6, 1000), sum_{j <= 3000} C(10^6, j), (2^20)^1000
+    "20000 bits of answer": (("finite-chain-convention", {"c": 10**6, "n": 1000}),),
+    "60000 bits of answer": (("omega-plus-m", {"m": 10**6, "n": 3000}),),
+    "21000 bits of answer": (("omega-times-m", {"m": 2**20, "n": 1000}),),
 }
+
+# rules that compute no new value, so have no answer to cap
+UNCAPPED = {
+    "zero-domain": "the constant 1",
+    "ramsey-omega": "the constant 1",
+    "infinite": "no value",
+    "finite-unbounded": "no value",
+    "subsum": "an entry of the table before it, which that table's rule capped",
+}
+
+
+def refusing_rule(steps):
+    """The rule of the step at which ``steps`` stop on a cap, or None."""
+    applied = degrees._apply(steps)
+    for rule, _ in steps:
+        try:
+            next(applied)
+        except ResourceCapError:
+            return rule
+    return None
+
 
 MALFORMED = {
     "omega-times-m-table is malformed: KeyError": (("omega-times-m-table", {"m": 2}),),
@@ -595,6 +642,26 @@ class TestReplayRefusals:
         with pytest.raises(ResourceCapError, match=f"may need {what}, over the cap"):
             replay_trace(hand_built(*OVER_BUDGET[what]))
         assert time.perf_counter() - start < 1.0
+
+    def test_every_valued_rule_caps_its_answer(self):
+        # a new rule that computes a value lands with a trace its own cap refuses
+        refused = {
+            refusing_rule(steps)
+            for what, steps in OVER_BUDGET.items()
+            if what.endswith(" bits of answer")
+        }
+        assert refused == RULES.keys() - UNCAPPED.keys()
+
+    def test_negative_table_or_rank_is_a_value_error(self):
+        # a table of negative "degrees", or a rank before 0, bounds nothing
+        negative = ("omega-times-m-table", {"m": -3, "max_rank": 2})
+        with pytest.raises(ValueError, match="^m must be >= 0$"):
+            replay_trace(hand_built(negative, ("subsum", {"n": 2})))
+        table = ("omega-times-m-table", {"m": 3, "max_rank": 2})
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            replay_trace(hand_built(table, ("subsum", {"n": -1})))
+        # count_power still reads the table of zeros at m = 0
+        assert count_power(3, 0) == 0
 
     @pytest.mark.parametrize("what", MALFORMED)
     def test_malformed_step_is_a_value_error(self, what):
